@@ -8,14 +8,13 @@ and computes interventional laws through the extended g-formula.
 """
 
 from .graph import Dag, parse_dag, relatives, serialize_dag
-from .dist import ConditionalTable, FiniteDistribution, conditional, depends_only_on, marginal
+from .dist import ConditionalTable, FiniteDistribution, depends_only_on
 from .swig import (
     Node,
     SeparationQuery,
     SeparationResult,
     SplitGraph,
     Swig,
-    d_separated,
     emit_dot,
     local_markov_statements,
     split,

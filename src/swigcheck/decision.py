@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dist import ZERO, FiniteDistribution, depends_only_on, product_cells
+from .dist import (
+    ZERO,
+    FiniteDistribution,
+    depends_only_on,
+    diagonal_mismatches,
+    document_int,
+    product_cells,
+    rows_equal,
+)
 from .errors import (
     IllFormedEci,
     IncompleteFamily,
@@ -34,8 +42,11 @@ from .family import (
     CounterfactualFamily,
     _as_dict,
     build_ffrcistg,
+    graph_cardinalities,
+    graph_member,
     intervention_key,
     load_graph_field,
+    markov_rows,
 )
 from .graph import Dag, parse_dag, serialize_dag
 from .reporting import CheckReport
@@ -180,7 +191,7 @@ class RegimeKernel:
         members: Mapping[Regime, FiniteDistribution],
         roles: Mapping[str, str] | None = None,
     ):
-        cards = {v: int(cardinalities[v]) for v in dag.order}
+        cards = graph_cardinalities(dag, cardinalities)
         indicators = tuple(indicators)
         tied = tuple(tied_targets)
         if len(indicators) != len(tied):
@@ -203,18 +214,12 @@ class RegimeKernel:
                 raise InvalidDocument(f"duplicate regime {f}")
             seen.add(f)
             space.append(f)
-        expected_vars = tuple((v, cards[v]) for v in dag.order)
         canon: dict[Regime, FiniteDistribution] = {}
         for f, dist in members.items():
             f = tuple(f)
             if f not in seen:
                 raise InvalidDocument(f"member for regime {f} outside the regime space")
-            if set(dist.names) != set(dag.vertices):
-                raise InvalidDocument(f"member {f} is not a law over all model variables")
-            dist = dist.reorder(dag.order)
-            if dist.variables != expected_vars:
-                raise InvalidDocument(f"member {f} has mismatched cardinalities")
-            canon[f] = dist
+            canon[f] = graph_member(dag, cards, f, dist)
         object.__setattr__(self, "dag", dag)
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "indicators", indicators)
@@ -301,10 +306,10 @@ class RegimeKernel:
         if unknown:
             raise InvalidDocument(f"unexpected kernel fields: {sorted(unknown)}")
         dag = parse_dag(load_graph_field(document.get("graph"), base_dir))
-        cards = document["cardinalities"]
+        cards = document.get("cardinalities")
         space = None
         if "regime_space" in document:
-            space = [tuple(v if v is not None else IDLE for v in f) for f in document["regime_space"]]
+            space = [tuple(_regime_value(v) for v in f) for f in document["regime_space"]]
         members = {}
         for entry in document.get("members", []):
             if not isinstance(entry, Mapping) or set(entry) != {"regime", "dist"}:
@@ -313,14 +318,15 @@ class RegimeKernel:
             extra = set(regime_map) - set(dag.targets)
             if extra:
                 raise InvalidDocument(f"regime names non-targets: {sorted(extra)}")
-            f = tuple(
-                (int(regime_map[t]) if regime_map.get(t) is not None else IDLE)
-                for t in dag.targets
-            )
+            f = tuple(_regime_value(regime_map.get(t)) for t in dag.targets)
             if f in members:
                 raise InvalidDocument(f"duplicate member for regime {f}")
             members[f] = FiniteDistribution.from_json(entry["dist"])
         return cls.for_targets(dag, cards, members, space, document.get("roles"))
+
+
+def _regime_value(value):
+    return IDLE if value is None else document_int(value, "regime value")
 
 
 def _regime_sort_key(f: Regime):
@@ -388,24 +394,19 @@ def check_kernel_consistency(k: RegimeKernel) -> CheckReport:
             if idled not in space:
                 untested += 1
                 continue
-            target = k.tied_targets[j]
-            pos = order.index(target)
+            pos = order.index(k.tied_targets[j])
             with_iv, without = k.member(f), k.member(idled)
-            for cell in with_iv.cells():
-                if cell[pos] != value:
-                    continue
-                lhs, rhs = with_iv.p(cell), without.p(cell)
-                if lhs != rhs:
-                    report.holds = False
-                    report.witnesses.append(
-                        {
-                            "indicator": k.indicators[j],
-                            "regime": _regime_json(k, f),
-                            "cell": _as_dict(order, cell),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+            for cell, lhs, rhs in diagonal_mismatches(with_iv, without, {pos: value}):
+                report.holds = False
+                report.witnesses.append(
+                    {
+                        "indicator": k.indicators[j],
+                        "regime": _regime_json(k, f),
+                        "cell": _as_dict(order, cell),
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    }
+                )
     if untested:
         report.notes.append(f"{untested} regime pairs untestable under the constrained space")
     return report
@@ -471,25 +472,11 @@ def check_augmented_markov(k: RegimeKernel, dag: Dag | None = None) -> CheckRepo
     if not k.tied:
         raise InvalidQuery("augmented Markov check needs target-tied indicators")
     dag = dag or k.dag
-    A = dag.targets
-    expected = set(itertools.product(*[range(k.cards[t]) for t in A]))
-    available = {f for f in k.all_non_idle_regimes()}
-    if {tuple(f) for f in available} != expected:
-        missing = sorted(expected - {tuple(f) for f in available})
-        raise IncompleteKernel(missing[0] if missing else ())
     report = CheckReport("augmented-markov", True)
+    Aset = set(dag.targets)
     for v in dag.order:
-        pre = [u for u in dag.order if u in dag.predecessors(v)]
-        context_vars = [f"f:{t}" for t in A] + [f"w:{u}" for u in pre]
-        rows: dict[tuple, object] = {}
-        for a in product_cells([k.cards[t] for t in A]):
-            member = k.member(tuple(a))
-            table = member.conditional((v,), pre)
-            for w in product_cells([k.cards[u] for u in pre]):
-                rows[tuple(a) + tuple(w)] = table.row(w)
+        rows, context_vars, pre, projection = markov_rows(dag, k.cards, k.member, v, "f")
         pa = dag.parents(v)
-        Aset = set(A)
-        projection = {f"f:{t}" for t in pa & Aset} | {f"w:{u}" for u in pa - Aset}
         dep = depends_only_on(rows, context_vars, projection)
         report.skipped += dep.skipped
         detail = {"vertex": v, "holds": dep.holds}
@@ -693,11 +680,7 @@ def build_intersection_counterexample(
     x_name, y_name = p_minus.names
     t_minus = p_minus.conditional((y_name,), (x_name,))
     t_plus = p_plus.conditional((y_name,), (x_name,))
-    if all(
-        t_minus.rows[cell] == t_plus.rows[cell]
-        for cell in t_minus.rows
-        if t_minus.rows[cell] is not None and t_plus.rows[cell] is not None
-    ):
+    if rows_equal(t_minus.rows, t_plus.rows)[0]:
         raise NotACounterexample("the conditional laws agree on every defined row")
     dag = Dag([x_name, y_name], [(x_name, y_name)])
     space = [(-2, -2), (-2, -1), (-1, -2), (-1, -1), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -797,34 +780,27 @@ def derive_joint_independence(k: RegimeKernel, W: Iterable[str]) -> CheckReport:
         return report
     space = sorted(k.regime_space, key=_regime_sort_key)
     marg = {f: k.member(f).marginal(W) for f in space}
-    premise_ok = True
     for j, name in enumerate(k.indicators):
-        for f in space:
-            for g in space:
-                if (
-                    _regime_sort_key(f) < _regime_sort_key(g)
-                    and f[:j] + f[j + 1 :] == g[:j] + g[j + 1 :]
-                    and f[j] != g[j]
-                ):
-                    if marg[f] != marg[g]:
-                        premise_ok = False
-                        report.details.append(
-                            {
-                                "indicator": name,
-                                "premise": "failed",
-                                "pair": [_regime_text(f), _regime_text(g)],
-                            }
-                        )
-                        break
-            if not premise_ok:
-                break
-        if not premise_ok:
-            break
+        moved = next(
+            (
+                (f, g)
+                for f, g in itertools.combinations(space, 2)
+                if f[:j] + f[j + 1 :] == g[:j] + g[j + 1 :] and f[j] != g[j] and marg[f] != marg[g]
+            ),
+            None,
+        )
+        if moved is not None:
+            report.details.append(
+                {
+                    "indicator": name,
+                    "premise": "failed",
+                    "pair": [_regime_text(f) for f in moved],
+                }
+            )
+            report.holds = False
+            report.notes.append("a per-coordinate premise fails; no joint claim is made")
+            return report
         report.details.append({"indicator": name, "premise": "holds"})
-    if not premise_ok:
-        report.holds = False
-        report.notes.append("a per-coordinate premise fails; no joint claim is made")
-        return report
     reference = marg[space[0]]
     for f in space:
         if marg[f] != reference:
@@ -921,13 +897,12 @@ def _frontdoor_kernel(
     itt_rows: Mapping[int, Fraction],
     med_rows: Mapping[int, Fraction],
     out_rows: Mapping[tuple[int, int], Fraction],
-    applied_given_natural: Mapping[tuple[int, int | None], Mapping[int, Fraction]],
 ) -> RegimeKernel:
-    """Five-variable treatment kernel with a pluggable applied-value mechanism.
+    """Five-variable sharp treatment kernel written out mechanism by mechanism.
 
-    ``applied_given_natural[(natural, regime)]`` is the law of the applied
-    column given the natural value under the given regime coordinate (idle
-    included). All other mechanisms are shared across regimes.
+    The applied treatment equals the natural value under the idle regime and
+    the intervened value otherwise; all other mechanisms are shared across
+    regimes.
     """
     order = ("H", "Tstar", "T", "M", "Y")
     dag = Dag(
@@ -940,31 +915,28 @@ def _frontdoor_kernel(
     members = {}
     for regime in (IDLE, 0, 1):
         mass = {}
-        for h in range(2):
+        for h, tstar, m, y in product_cells([2, 2, 2, 2]):
+            t = tstar if regime is IDLE else regime
             ph = h_weight if h == 1 else 1 - h_weight
-            for tstar in range(2):
-                pt = itt_rows[h] if tstar == 1 else 1 - itt_rows[h]
-                for t in range(2):
-                    pa = applied_given_natural[(tstar, regime)].get(t, ZERO)
-                    if pa == 0:
-                        continue
-                    for m in range(2):
-                        pm = med_rows[t] if m == 1 else 1 - med_rows[t]
-                        for y in range(2):
-                            py = out_rows[(m, h)] if y == 1 else 1 - out_rows[(m, h)]
-                            p = ph * pt * pa * pm * py
-                            if p:
-                                mass[(h, tstar, t, m, y)] = p
+            pt = itt_rows[h] if tstar == 1 else 1 - itt_rows[h]
+            pm = med_rows[t] if m == 1 else 1 - med_rows[t]
+            py = out_rows[(m, h)] if y == 1 else 1 - out_rows[(m, h)]
+            mass[(h, tstar, t, m, y)] = ph * pt * pm * py
         members[(regime,)] = FiniteDistribution(tuple((v, 2) for v in order), mass)
-    return RegimeKernel(
-        dag,
-        cards,
-        ("F_T",),
-        ("T",),
-        [(IDLE,), (0,), (1,)],
-        members,
-        {"itt": "Tstar", "applied": "T", "indicator": "F_T"},
-    )
+    return RegimeKernel.for_targets(dag, cards, members, roles={"itt": "Tstar", "applied": "T", "indicator": "F_T"})
+
+
+def _leaky_kernel(sharp: RegimeKernel, eps: Fraction) -> RegimeKernel:
+    """Intervention that misses with probability ``eps``, leaving the natural
+    value applied: each member is ``(1 - eps) * sharp + eps * idle``."""
+    idle = sharp.member(sharp.idle_regime())
+    members = {}
+    for f in sharp.regime_space:
+        mass = {cell: (1 - eps) * p for cell, p in sharp.member(f).support()}
+        for cell, p in idle.support():
+            mass[cell] = mass.get(cell, ZERO) + eps * p
+        members[f] = FiniteDistribution(idle.variables, mass)
+    return RegimeKernel.for_targets(sharp.dag, sharp.cards, members, sharp.regime_space, sharp.roles)
 
 
 def frontdoor_demo() -> dict:
@@ -976,8 +948,8 @@ def frontdoor_demo() -> dict:
     with all edges solid. Only the sharp kernel, where the applied value is a
     deterministic function of the natural value and the regime, satisfies the
     context-specific independence of the outcome from the regime given the
-    mediator under non-idle regimes. The leaky mechanism is found by a small
-    deterministic search and verified by enumeration.
+    mediator under non-idle regimes. The leaky mixing weight is found by a
+    small deterministic search and verified by enumeration.
     """
     h_weight = Fraction(2, 5)
     itt_rows = {0: Fraction(1, 4), 1: Fraction(3, 4)}
@@ -988,45 +960,17 @@ def frontdoor_demo() -> dict:
         (1, 0): Fraction(1, 3),
         (1, 1): Fraction(5, 6),
     }
-
-    def sharp_mechanism():
-        mech = {}
-        for tstar in range(2):
-            mech[(tstar, IDLE)] = {tstar: Fraction(1)}
-            for t in range(2):
-                mech[(tstar, t)] = {t: Fraction(1)}
-        return mech
-
-    def leaky_mechanism(eps: Fraction):
-        mech = {}
-        for tstar in range(2):
-            mech[(tstar, IDLE)] = {tstar: Fraction(1)}
-            for t in range(2):
-                row = {t: 1 - eps}
-                row[tstar] = row.get(tstar, ZERO) + eps
-                mech[(tstar, t)] = row
-        return mech
-
     base = Dag(
         ("H", "T", "M", "Y"),
         [("H", "T"), ("H", "Y"), ("T", "M"), ("M", "Y")],
         targets=("T",),
     )
-    joint_mass = {}
-    for h in range(2):
-        ph = h_weight if h == 1 else 1 - h_weight
-        for t in range(2):
-            pt = itt_rows[h] if t == 1 else 1 - itt_rows[h]
-            for m in range(2):
-                pm = med_rows[t] if m == 1 else 1 - med_rows[t]
-                for y in range(2):
-                    py = out_rows[(m, h)] if y == 1 else 1 - out_rows[(m, h)]
-                    joint_mass[(h, t, m, y)] = ph * pt * pm * py
-    p4 = FiniteDistribution(tuple((v, 2) for v in base.order), joint_mass)
+    direct = _frontdoor_kernel(h_weight, itt_rows, med_rows, out_rows)
+    # under the idle regime the applied column copies the natural one
+    p4 = direct.member((IDLE,)).marginal(base.order)
     sharp = materialize_applied(
         family_to_kernel(build_ffrcistg(base, base.targets, p4)), "T", "Tstar", "T"
     )
-    direct = _frontdoor_kernel(h_weight, itt_rows, med_rows, out_rows, sharp_mechanism())
     if any(sharp.member(f) != direct.member(f) for f in sharp.regime_space):
         raise InvalidQuery("transported kernel disagrees with its direct construction")
     solid = solid_ecis(sharp.dag, {"F_T": ("T",)})
@@ -1043,7 +987,7 @@ def frontdoor_demo() -> dict:
     leaky_solid = leaky_context = None
     chosen_eps = None
     for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-        candidate = _frontdoor_kernel(h_weight, itt_rows, med_rows, out_rows, leaky_mechanism(eps))
+        candidate = _leaky_kernel(sharp, eps)
         cand_solid, cand_context = evaluate(candidate)
         if all(r.holds for r in cand_solid) and not cand_context.holds:
             leaky, leaky_solid, leaky_context, chosen_eps = candidate, cand_solid, cand_context, eps

@@ -37,6 +37,13 @@ def cell_bound() -> int:
     return value
 
 
+def document_int(value, what: str) -> int:
+    """Integer read from a document; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidDocument(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_prob(value) -> Fraction:
     """Exact probability from ``"num/den"`` strings, decimals, or numbers."""
     if isinstance(value, Fraction):
@@ -166,7 +173,7 @@ class FiniteDistribution:
         perm = [self.index(n) for n in names]
         variables = tuple(self.variables[i] for i in perm)
         mass = {tuple(cell[i] for i in perm): p for cell, p in self._mass.items()}
-        return FiniteDistribution._raw(variables, mass) if self.total() != 1 else FiniteDistribution(variables, mass)
+        return FiniteDistribution._raw(variables, mass)
 
     def marginal(self, keep: Iterable[str]) -> "FiniteDistribution":
         """Sum the mass over every variable not in ``keep``."""
@@ -179,9 +186,7 @@ class FiniteDistribution:
         for cell, p in self._mass.items():
             sub = tuple(cell[i] for i in positions)
             mass[sub] = mass.get(sub, ZERO) + p
-        if self.total() != 1:
-            return FiniteDistribution._raw(variables, mass)
-        return FiniteDistribution(variables, mass)
+        return FiniteDistribution._raw(variables, mass)
 
     def _name_sequence(self, names: Iterable[str]) -> list[str]:
         # sets fall back to declaration order; sequences keep the caller's order
@@ -249,24 +254,16 @@ class FiniteDistribution:
         variables = document.get("variables")
         if not isinstance(variables, Mapping) or not variables:
             raise InvalidDocument("'variables' must be a non-empty object")
-        var_list = [(str(n), int(k)) for n, k in variables.items()]
+        var_list = [(str(n), document_int(k, f"cardinality of {n!r}")) for n, k in variables.items()]
         mass: dict[tuple, Fraction] = {}
         for entry in document.get("entries", []):
             if not isinstance(entry, Mapping) or set(entry) != {"cell", "p"}:
                 raise InvalidDocument(f"bad entry: {entry!r}")
-            cell = tuple(int(s) for s in entry["cell"])
+            cell = tuple(document_int(s, "state index") for s in entry["cell"])
             if cell in mass:
                 raise InvalidDocument(f"duplicate cell {list(cell)}")
             mass[cell] = parse_prob(entry["p"])
         return cls(var_list, mass)
-
-
-def marginal(d: FiniteDistribution, keep: Iterable[str]) -> FiniteDistribution:
-    return d.marginal(keep)
-
-
-def conditional(d: FiniteDistribution, target: Iterable[str], given: Iterable[str]) -> "ConditionalTable":
-    return d.conditional(target, given)
 
 
 class ConditionalTable:
@@ -386,6 +383,17 @@ def rows_equal(
         if a != b:
             return False, cell, skipped
     return True, None, skipped
+
+
+def diagonal_mismatches(with_iv: FiniteDistribution, without: FiniteDistribution, pinned: Mapping[int, int]):
+    """``(cell, lhs, rhs)`` for each cell, in lexicographic order, whose pinned
+    positions hold the given values and where two laws over the same
+    variables disagree; ``lhs`` is from ``with_iv``, ``rhs`` from ``without``."""
+    axes = [(pinned[i],) if i in pinned else range(k) for i, (_, k) in enumerate(with_iv.variables)]
+    for cell in itertools.product(*axes):
+        lhs, rhs = with_iv.p(cell), without.p(cell)
+        if lhs != rhs:
+            yield cell, lhs, rhs
 
 
 def product_cells(cards: Sequence[int]) -> Iterable[tuple[int, ...]]:

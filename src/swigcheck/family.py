@@ -30,6 +30,8 @@ from .dist import (
     FiniteDistribution,
     ZERO,
     depends_only_on,
+    diagonal_mismatches,
+    document_int,
     product_cells,
     rows_equal,
 )
@@ -61,12 +63,8 @@ class CounterfactualFamily:
     __slots__ = ("dag", "cards", "members", "observed_markov")
 
     def __init__(self, dag: Dag, cardinalities: Mapping[str, int], members):
-        cards = {v: int(cardinalities[v]) for v in dag.order}
-        missing = set(dag.vertices) - set(cardinalities)
-        if missing:
-            raise InvalidDocument(f"cardinalities missing for {sorted(missing)}")
+        cards = graph_cardinalities(dag, cardinalities)
         canon: dict[InterventionKey, FiniteDistribution] = {}
-        expected_vars = tuple((v, cards[v]) for v in dag.order)
         for intervention, dist in (members.items() if isinstance(members, Mapping) else members):
             key = intervention_key(dag.order, dict(intervention))
             for v, s in key:
@@ -74,15 +72,7 @@ class CounterfactualFamily:
                     raise InvalidDocument(f"intervention on non-target {v!r}")
                 if not 0 <= s < cards[v]:
                     raise InvalidDocument(f"state {s} out of range for target {v!r}")
-            if set(dist.names) != set(dag.vertices):
-                raise InvalidDocument(
-                    f"member {dict(key)} is not a law over all model variables"
-                )
-            dist = dist.reorder([v for v in dag.order])
-            if dist.variables != expected_vars:
-                raise InvalidDocument(
-                    f"member {dict(key)} has cardinalities {dist.variables}, expected {expected_vars}"
-                )
+            dist = graph_member(dag, cards, dict(key), dist)
             if key in canon:
                 raise InvalidDocument(f"duplicate member for intervention {dict(key)}")
             canon[key] = dist
@@ -155,11 +145,39 @@ class CounterfactualFamily:
         for entry in document.get("members", []):
             if not isinstance(entry, Mapping) or set(entry) != {"intervention", "dist"}:
                 raise InvalidDocument(f"bad member entry: {entry!r}")
-            members.append((dict(entry["intervention"]), FiniteDistribution.from_json(entry["dist"])))
-        return cls(dag, document["cardinalities"], members)
+            intervention = {
+                v: document_int(s, f"state index of {v!r}") for v, s in dict(entry["intervention"]).items()
+            }
+            members.append((intervention, FiniteDistribution.from_json(entry["dist"])))
+        return cls(dag, document.get("cardinalities"), members)
 
 
 # -- helpers -------------------------------------------------------------
+
+
+def graph_cardinalities(dag: Dag, cardinalities) -> dict[str, int]:
+    """Cardinality of every vertex in graph order; each must be a positive integer."""
+    if not isinstance(cardinalities, Mapping):
+        raise InvalidDocument("'cardinalities' must be an object naming every vertex")
+    missing = set(dag.vertices) - set(cardinalities)
+    if missing:
+        raise InvalidDocument(f"cardinalities missing for {sorted(missing)}")
+    cards = {v: document_int(cardinalities[v], f"cardinality of {v!r}") for v in dag.order}
+    if any(k < 1 for k in cards.values()):
+        raise InvalidDocument(f"cardinalities must be positive: {cards}")
+    return cards
+
+
+def graph_member(dag: Dag, cards: Mapping[str, int], label, dist: FiniteDistribution) -> FiniteDistribution:
+    """Member law over all model variables, reordered to the graph order and
+    checked against the declared cardinalities."""
+    if set(dist.names) != set(dag.vertices):
+        raise InvalidDocument(f"member {label} is not a law over all model variables")
+    dist = dist.reorder(dag.order)
+    expected = tuple((v, cards[v]) for v in dag.order)
+    if dist.variables != expected:
+        raise InvalidDocument(f"member {label} has cardinalities {dist.variables}, expected {expected}")
+    return dist
 
 
 def load_graph_field(value, base_dir=None):
@@ -219,22 +237,18 @@ def check_distributional_consistency(fam: CounterfactualFamily) -> CheckReport:
                 base = fam.member(ctx)
                 for b in range(fam.cards[b_i]):
                     with_b = fam.member({**ctx, b_i: b})
-                    for cell in base.cells():
-                        if cell[pos] != b:
-                            continue
-                        lhs, rhs = with_b.p(cell), base.p(cell)
-                        if lhs != rhs:
-                            report.holds = False
-                            report.witnesses.append(
-                                {
-                                    "target": b_i,
-                                    "context": ctx,
-                                    "value": b,
-                                    "cell": _as_dict(order, cell),
-                                    "lhs": lhs,
-                                    "rhs": rhs,
-                                }
-                            )
+                    for cell, lhs, rhs in diagonal_mismatches(with_b, base, {pos: b}):
+                        report.holds = False
+                        report.witnesses.append(
+                            {
+                                "target": b_i,
+                                "context": ctx,
+                                "value": b,
+                                "cell": _as_dict(order, cell),
+                                "lhs": lhs,
+                                "rhs": rhs,
+                            }
+                        )
     return report
 
 
@@ -249,21 +263,17 @@ def check_vector_consistency(fam: CounterfactualFamily, B, C) -> CheckReport:
         base = fam.member(ctx)
         for b in _value_cells(fam.cards, B):
             joint = fam.member({**ctx, **_as_dict(B, b)})
-            for cell in base.cells():
-                if tuple(cell[i] for i in b_pos) != tuple(b):
-                    continue
-                lhs, rhs = joint.p(cell), base.p(cell)
-                if lhs != rhs:
-                    report.holds = False
-                    report.witnesses.append(
-                        {
-                            "B": _as_dict(B, b),
-                            "context": ctx,
-                            "cell": _as_dict(order, cell),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                        }
-                    )
+            for cell, lhs, rhs in diagonal_mismatches(joint, base, dict(zip(b_pos, b))):
+                report.holds = False
+                report.witnesses.append(
+                    {
+                        "B": _as_dict(B, b),
+                        "context": ctx,
+                        "cell": _as_dict(order, cell),
+                        "lhs": lhs,
+                        "rhs": rhs,
+                    }
+                )
     return report
 
 
@@ -387,22 +397,25 @@ def reduce_interventions(fam: CounterfactualFamily, B, C, W, mode: str = "joint"
     return report
 
 
-def _interventional_rows(fam: CounterfactualFamily, dag: Dag, v: str):
-    """Row family of ``v`` given its predecessors across all full interventions.
+def markov_rows(dag: Dag, cards: Mapping[str, int], member, v: str, prefix: str):
+    """Rows of ``v`` given its predecessors across every full assignment.
 
-    Context cells run over the intervention assignment (coordinates ``a:T``)
-    followed by the natural values of the predecessors (coordinates ``w:U``).
+    ``member`` maps an assignment tuple (target order) to its law. Context
+    cells run over the assignment (coordinates ``<prefix>:T``), then the
+    predecessors' natural values (``w:U``). Also returns the context names,
+    the predecessors, and the projection the graph allows.
     """
     A = dag.targets
     pre = [u for u in dag.order if u in dag.predecessors(v)]
-    context_vars = [f"a:{t}" for t in A] + [f"w:{u}" for u in pre]
+    context_vars = [f"{prefix}:{t}" for t in A] + [f"w:{u}" for u in pre]
     rows: dict[tuple, object] = {}
-    for a in _value_cells(fam.cards, A):
-        member = fam.member(_as_dict(A, a))
-        table = member.conditional((v,), pre)
-        for w in product_cells([fam.cards[u] for u in pre]):
-            rows[tuple(a) + tuple(w)] = table.row(w)
-    return rows, context_vars, pre
+    for a in _value_cells(cards, A):
+        table = member(a).conditional((v,), pre)
+        for w in _value_cells(cards, pre):
+            rows[a + w] = table.row(w)
+    pa = dag.parents(v)
+    projection = {f"{prefix}:{t}" for t in pa & set(A)} | {f"w:{u}" for u in pa - set(A)}
+    return rows, context_vars, pre, projection
 
 
 def check_swig_local_markov(fam: CounterfactualFamily, dag: Dag | None = None) -> CheckReport:
@@ -415,10 +428,10 @@ def check_swig_local_markov(fam: CounterfactualFamily, dag: Dag | None = None) -
     dag = dag or fam.dag
     report = CheckReport("swig-local-markov", True)
     A = set(dag.targets)
+    member = lambda a: fam.member(_as_dict(dag.targets, a))
     for v in dag.order:
-        rows, context_vars, _ = _interventional_rows(fam, dag, v)
+        rows, context_vars, _, projection = markov_rows(dag, fam.cards, member, v, "a")
         pa = dag.parents(v)
-        projection = {f"a:{t}" for t in pa & A} | {f"w:{u}" for u in pa - A}
         dep = depends_only_on(rows, context_vars, projection)
         report.skipped += dep.skipped
         detail = {
@@ -436,15 +449,14 @@ def check_swig_local_markov(fam: CounterfactualFamily, dag: Dag | None = None) -
     return report
 
 
-def check_complete_graph_markov(fam: CounterfactualFamily, order: Sequence[str] | None = None) -> CheckReport:
+def check_complete_graph_markov(fam: CounterfactualFamily) -> CheckReport:
     """Local Markov property against the complete graph over the order.
 
     Equivalent to requiring only a time order (no dependence on later
     interventions) and ignorability (no dependence on the natural values of
     intervened predecessors).
     """
-    order = tuple(order) if order is not None else fam.dag.order
-    complete = Dag(fam.dag.vertices, (), fam.dag.targets, order).complete_supergraph()
+    complete = Dag(fam.dag.vertices, (), fam.dag.targets, fam.dag.order).complete_supergraph()
     report = check_swig_local_markov(fam, complete)
     report.check = "complete-graph-markov"
     return report
@@ -513,49 +525,24 @@ def kernel_chain_check(fam: CounterfactualFamily, dag: Dag, i: str, a: Mapping[s
     t_pa_cond = fam.member(pa_targets).conditional((i,), pa)
     t_pa_reduced = fam.member(pa_targets).conditional((i,), pa_minus_A)
 
-    def record(step, ok, witness):
-        entry = {"step": step, "holds": ok}
-        if witness is not None:
-            entry["witness"] = witness
-        report.details.append(entry)
-        if not ok:
+    # (wide table, narrow table, positions of the wide given-cell the narrow one keeps)
+    same = range(len(pre))
+    chain = (
+        (t_full, t_pre, same),
+        (t_pre, t_pa, same),
+        (t_pa, t_pa_cond, [pre.index(u) for u in pa]),
+        (t_pa_cond, t_pa_reduced, [pa.index(u) for u in pa_minus_A]),
+    )
+    for step, (wide, narrow, kept) in zip(KERNEL_CHAIN_STEPS, chain):
+        narrowed = {w: narrow.row(tuple(w[j] for j in kept)) for w in wide.rows}
+        eq, cell, sk = rows_equal(wide.rows, narrowed)
+        report.skipped += sk
+        entry = {"step": step, "holds": eq}
+        if not eq:
+            entry["witness"] = {"given_cell": _as_dict(wide.given_names, cell)}
             report.holds = False
             report.witnesses.append(entry)
-
-    eq, cell, sk = rows_equal(t_full.rows, t_pre.rows)
-    report.skipped += sk
-    record(KERNEL_CHAIN_STEPS[0], eq, None if eq else {"given_cell": _as_dict(pre, cell)})
-
-    eq, cell, sk = rows_equal(t_pre.rows, t_pa.rows)
-    report.skipped += sk
-    record(KERNEL_CHAIN_STEPS[1], eq, None if eq else {"given_cell": _as_dict(pre, cell)})
-
-    # conditioning on all predecessors must collapse to conditioning on parents
-    pa_slots = [pre.index(u) for u in pa]
-    ok, witness = True, None
-    for w in product_cells([fam.cards[u] for u in pre]):
-        r_full = t_pa.row(w)
-        r_pa = t_pa_cond.row(tuple(w[j] for j in pa_slots))
-        if r_full is None or r_pa is None:
-            report.skipped += 1
-            continue
-        if r_full != r_pa:
-            ok, witness = False, {"given_cell": _as_dict(pre, w)}
-            break
-    record(KERNEL_CHAIN_STEPS[2], ok, witness)
-
-    red_slots = [pa.index(u) for u in pa_minus_A]
-    ok, witness = True, None
-    for w in product_cells([fam.cards[u] for u in pa]):
-        r_pa = t_pa_cond.row(w)
-        r_red = t_pa_reduced.row(tuple(w[j] for j in red_slots))
-        if r_pa is None or r_red is None:
-            report.skipped += 1
-            continue
-        if r_pa != r_red:
-            ok, witness = False, {"given_cell": _as_dict(pa, w)}
-            break
-    record(KERNEL_CHAIN_STEPS[3], ok, witness)
+        report.details.append(entry)
     return report
 
 

@@ -113,9 +113,6 @@ class SplitGraph:
     def has_node(self, node: Node) -> bool:
         return node in self._parents
 
-    def random_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if not n.fixed)
-
     def fixed_nodes(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.fixed)
 
@@ -185,10 +182,6 @@ def _trail(prev, state) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def d_separated(graph: SplitGraph, x, y, z=()) -> SeparationResult:
-    return graph.d_separated(x, y, z)
-
-
 class Swig:
     """A split graph together with its intervention context and labels."""
 
@@ -205,16 +198,8 @@ class Swig:
         raise AttributeError("Swig instances are immutable")
 
     @property
-    def random_nodes(self) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-        return [(v, self.labels[v]) for v in self.dag.order]
-
-    @property
     def fixed_nodes(self) -> tuple[tuple[str, int], ...]:
         return self.assignment
-
-    @property
-    def edges(self):
-        return self.graph.edges
 
     def d_separated(self, x, y, z=()) -> SeparationResult:
         return self.graph.d_separated(x, y, z)

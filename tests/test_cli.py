@@ -212,6 +212,29 @@ class TestCheckCommand:
         code, _ = run(capsys, "check", "--family", path, "--kernel", path)
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["family", "kernel"])
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["cardinalities"].pop("B"), "cardinalities missing for ['B']"),
+            (lambda d: d.pop("cardinalities"), "'cardinalities' must be an object"),
+            (lambda d: d["cardinalities"].update(C=True), "cardinality of 'C' must be an integer, got True"),
+            (lambda d: d["cardinalities"].update(C=2.5), "cardinality of 'C' must be an integer, got 2.5"),
+        ],
+        ids=["missing-one", "missing-field", "bool", "float"],
+    )
+    def test_bad_cardinalities_exit_2(self, capsys, tmp_path, chain, chain_law, kind, mutate, message):
+        fam = build_ffrcistg(chain, chain.targets, chain_law)
+        doc = (fam if kind == "family" else family_to_kernel(fam)).to_json()
+        mutate(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "check", f"--{kind}", str(path), "--mode", "all")
+        assert code == 2
+        line = json.loads(out.splitlines()[0])
+        assert line["error"] == "InvalidDocument"
+        assert message in line["message"]
+
     def test_family_graph_field_may_be_a_path(self, capsys, tmp_path, chain, chain_law):
         fam = build_ffrcistg(chain, chain.targets, chain_law)
         doc = fam.to_json()

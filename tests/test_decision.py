@@ -37,6 +37,7 @@ from swigcheck.dist import FiniteDistribution
 from swigcheck.errors import (
     IllFormedEci,
     IncompleteKernel,
+    InvalidDocument,
     NoIdleRegime,
     NotACounterexample,
     NotConvertible,
@@ -176,6 +177,23 @@ class TestTransport:
         for f in two_stage_kernel.members:
             assert back.members[f] == two_stage_kernel.members[f]
         assert back.to_json() == doc
+
+    @pytest.mark.parametrize("value", [0.7, True, "1"])
+    def test_kernel_json_rejects_non_integer_regime_values(self, two_stage_kernel, value):
+        doc = two_stage_kernel.to_json()
+        doc["members"][-1]["regime"]["X0"] = value
+        with pytest.raises(InvalidDocument, match="regime value must be an integer"):
+            RegimeKernel.from_json(doc)
+        doc = two_stage_kernel.to_json()
+        doc["regime_space"][-1][0] = value
+        with pytest.raises(InvalidDocument, match="regime value must be an integer"):
+            RegimeKernel.from_json(doc)
+
+    def test_mismatched_member_names_expected_cardinalities(self):
+        dag = Dag(["T", "Y"], [("T", "Y")], targets=["T"])
+        p = bernoulli_pair(HALF, F(1, 3), names=("T", "Y"))
+        with pytest.raises(InvalidDocument, match=r"expected \(\('T', 2\), \('Y', 3\)\)"):
+            RegimeKernel.for_targets(dag, {"T": 2, "Y": 3}, {(None,): p, (0,): p, (1,): p})
 
     def test_checker_verdicts_agree_across_representations(self, small_corpus):
         rng = random.Random(31)

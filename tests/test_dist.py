@@ -150,6 +150,20 @@ def test_json_rejects_duplicates_and_negative_mass():
         )
 
 
+@pytest.mark.parametrize("coordinate", [0.7, True, "0"])
+def test_json_rejects_non_integer_cell_coordinates(coordinate):
+    doc = {"variables": {"A": 2}, "entries": [{"cell": [coordinate], "p": "1/2"}, {"cell": [1], "p": "1/2"}]}
+    with pytest.raises(InvalidDocument, match="state index must be an integer"):
+        FiniteDistribution.from_json(doc)
+
+
+@pytest.mark.parametrize("cardinality", [2.5, True, "2"])
+def test_json_rejects_non_integer_variable_cardinalities(cardinality):
+    doc = {"variables": {"A": cardinality}, "entries": [{"cell": [0], "p": "1"}]}
+    with pytest.raises(InvalidDocument, match="cardinality of 'A' must be an integer"):
+        FiniteDistribution.from_json(doc)
+
+
 @given(small_distributions())
 def test_marginal_composition(d):
     names = list(d.names)

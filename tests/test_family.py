@@ -6,7 +6,7 @@ import pytest
 
 from helpers import mutate_family, random_positive_joint, two_stage_dag
 from swigcheck.dist import FiniteDistribution, product_cells
-from swigcheck.errors import IncompleteFamily, InvalidQuery, NotIdentified
+from swigcheck.errors import IncompleteFamily, InvalidDocument, InvalidQuery, NotIdentified
 from swigcheck.family import (
     CounterfactualFamily,
     build_ffrcistg,
@@ -286,6 +286,13 @@ class TestBuilder:
         fam = build_ffrcistg(dag, dag.targets, correlated)
         assert fam.observed_markov is not None and not fam.observed_markov.holds
         assert fam.member({}) != correlated  # the empty member got factorized
+
+    @pytest.mark.parametrize("value", [0.7, True, "1"])
+    def test_json_rejects_non_integer_intervention_values(self, chain_family, value):
+        doc = chain_family.to_json()
+        doc["members"][-1]["intervention"]["A"] = value
+        with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
+            CounterfactualFamily.from_json(doc)
 
 
 class TestCompleteGraph:

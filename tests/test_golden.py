@@ -46,6 +46,7 @@ from swigcheck.decision import (
     natural_value_regime,
 )
 from swigcheck.dist import FiniteDistribution
+from swigcheck.errors import SwigcheckError
 from swigcheck.family import (
     CounterfactualFamily,
     build_ffrcistg,
@@ -287,7 +288,7 @@ def cli_records(tmp: Path) -> dict:
 def _report(call) -> object:
     try:
         result = call()
-    except Exception as exc:  # the raised error is the record
+    except SwigcheckError as exc:  # the raised error is the record
         return {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(result, tuple):
         return [part.to_json() for part in result]
