@@ -10,6 +10,7 @@ rows and report how many were skipped.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,12 +77,12 @@ class FiniteDistribution:
     __slots__ = ("variables", "_index", "_mass")
 
     def __init__(self, variables: Sequence[tuple[str, int]], mass: Mapping[tuple, Fraction], *, _checked=False):
-        variables = tuple((str(n), int(k)) for n, k in variables)
+        variables = tuple((str(n), k) for n, k in variables)
         names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise InvalidDocument("duplicate variable names")
         for n, k in variables:
-            if k < 1:
+            if document_int(k, f"cardinality of {n!r}") < 1:
                 raise InvalidDocument(f"cardinality of {n!r} must be positive")
         size = 1
         for _, k in variables:
@@ -93,10 +94,12 @@ class FiniteDistribution:
         clean: dict[tuple[int, ...], Fraction] = {}
         total = ZERO
         for cell, p in mass.items():
-            cell = tuple(int(s) for s in cell)
+            cell = tuple(cell)
             if len(cell) != len(variables):
                 raise InvalidDocument(f"cell {cell} has wrong arity")
             for s, k in zip(cell, cards):
+                if type(s) is not int:
+                    raise InvalidDocument(f"state index must be an integer, got {s!r} in cell {cell}")
                 if not 0 <= s < k:
                     raise InvalidDocument(f"cell {cell} outside declared cardinalities")
             p = p if isinstance(p, Fraction) else parse_prob(p)
@@ -150,7 +153,8 @@ class FiniteDistribution:
         return sum(self._mass.values(), ZERO)
 
     def is_strictly_positive(self) -> bool:
-        return all(self.p(cell) > 0 for cell in self.cells())
+        # only nonzero, in-range, distinct cells are stored
+        return len(self._mass) == math.prod(k for _, k in self.variables)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDistribution):
@@ -168,6 +172,8 @@ class FiniteDistribution:
     def reorder(self, names: Sequence[str]) -> "FiniteDistribution":
         """Same law with variables permuted into the given name order."""
         names = tuple(names)
+        if names == self.names:
+            return self  # immutable and already validated
         if sorted(names) != sorted(self.names):
             raise UnknownVariable(set(names) ^ set(self.names))
         perm = [self.index(n) for n in names]

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 from .dist import (
     ConditionalTable,
     FiniteDistribution,
-    ZERO,
+    ONE,
     depends_only_on,
     diagonal_mismatches,
     document_int,
@@ -583,31 +583,43 @@ def gformula_member(
 
     Cell mass is the product over vertices of the conditional probability of
     the cell value given the parent context, where intervened parents
-    contribute their assigned values instead of the cell's. A zero factor
-    short-circuits the cell; a needed-but-undefined conditional row aborts
-    with the offending vertex and conditioning cell.
+    contribute their assigned values instead of the cell's. The product is
+    built in one sweep of the order: each nonzero prefix cell carries its
+    partial product and is extended only by the states its conditional row
+    gives nonzero probability, so zero-mass prefixes are pruned. A
+    needed-but-undefined conditional row aborts with the offending vertex and
+    conditioning cell, for the lexicographically first full cell that needs
+    it.
     """
     order = dag.order
-    idx = {v: j for j, v in enumerate(order)}
-    parent_lists = {v: [u for u in order if u in dag.parents(v)] for v in order}
-    mass = {}
-    for cell in product_cells([cards[v] for v in order]):
-        acc = None
-        for v in order:
-            parent_cell = tuple(
-                int(intervention[u]) if u in intervention else cell[idx[u]]
-                for u in parent_lists[v]
-            )
-            row = cpts[v].row(parent_cell)
+    pos = {v: j for j, v in enumerate(order)}
+    prefixes = {(): ONE}
+    # (prefix, vertex, parent names, parent cell) of the least failing prefix:
+    # every full cell through a failing prefix fails there, and no failing
+    # prefix extends another, so the least one holds the first failing full
+    # cell however deep in the sweep it is met
+    failure = None
+    for v in order:
+        parents = [u for u in order if u in dag.parents(v)]
+        slots = [(True, int(intervention[u])) if u in intervention else (False, pos[u]) for u in parents]
+        rows = cpts[v].rows
+        extended = {}
+        for prefix, acc in prefixes.items():
+            parent_cell = tuple(x if is_fixed else prefix[x] for is_fixed, x in slots)
+            row = rows.get(parent_cell)
             if row is None:
-                raise NotIdentified(v, _as_dict(parent_lists[v], parent_cell))
-            factor = row.get((cell[idx[v]],), ZERO)
-            acc = factor if acc is None else acc * factor
-            if acc == 0:
-                break
-        if acc:
-            mass[cell] = acc
-    return FiniteDistribution(tuple((v, cards[v]) for v in order), mass)
+                if failure is None or prefix < failure[0]:
+                    failure = (prefix, v, parents, parent_cell)
+                continue
+            for (s,), q in row.items():
+                if q:
+                    extended[prefix + (s,)] = acc * q
+        prefixes = extended
+    if failure is not None:
+        _, v, parents, parent_cell = failure
+        cpts[v].row(parent_cell)  # a given-cell outside the table raises InvalidQuery
+        raise NotIdentified(v, _as_dict(parents, parent_cell))
+    return FiniteDistribution(tuple((v, cards[v]) for v in order), prefixes)
 
 
 def build_ffrcistg(dag: Dag, targets, p: FiniteDistribution) -> CounterfactualFamily:

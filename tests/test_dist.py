@@ -164,6 +164,26 @@ def test_json_rejects_non_integer_variable_cardinalities(cardinality):
         FiniteDistribution.from_json(doc)
 
 
+@pytest.mark.parametrize("coordinate", [0.7, True, "0"])
+def test_constructor_rejects_non_integer_cell_coordinates(coordinate):
+    with pytest.raises(InvalidDocument, match="state index must be an integer"):
+        FiniteDistribution([("A", 2)], {(coordinate,): 1})
+
+
+@pytest.mark.parametrize("cardinality", [2.9, True, "2"])
+def test_constructor_rejects_non_integer_cardinalities(cardinality):
+    with pytest.raises(InvalidDocument, match="cardinality of 'A' must be an integer"):
+        FiniteDistribution([("A", cardinality)], {(0,): 1})
+
+
+def test_is_strictly_positive_counts_the_support():
+    assert uniform_two_binary().is_strictly_positive()
+    # explicit zeros are dropped, so they count as missing cells
+    assert not FiniteDistribution([("A", 2)], {(0,): 1, (1,): 0}).is_strictly_positive()
+    assert not FiniteDistribution([("A", 2), ("B", 2)], {(0, 0): HALF, (1, 1): HALF}).is_strictly_positive()
+    assert FiniteDistribution._raw([("A", 2)], {(0,): HALF, (1,): HALF / 2}).is_strictly_positive()
+
+
 @given(small_distributions())
 def test_marginal_composition(d):
     names = list(d.names)
@@ -196,3 +216,11 @@ def test_reorder_permutes_cells():
     assert r.names == ("C", "A", "B")
     for cell, p in d.support():
         assert r.p((cell[2], cell[0], cell[1])) == p
+
+
+def test_reorder_into_the_current_order_returns_the_same_table():
+    d = chain_joint()
+    assert d.reorder(d.names) is d
+    assert d.reorder(["A", "B", "C"]) is d
+    with pytest.raises(UnknownVariable):
+        d.reorder(("A", "B"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import mutate_family, random_positive_joint, two_stage_dag
-from swigcheck.dist import FiniteDistribution, product_cells
+from swigcheck.dist import ConditionalTable, FiniteDistribution, product_cells
 from swigcheck.errors import IncompleteFamily, InvalidDocument, InvalidQuery, NotIdentified
 from swigcheck.family import (
     CounterfactualFamily,
@@ -293,6 +293,126 @@ class TestBuilder:
         doc["members"][-1]["intervention"]["A"] = value
         with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
             CounterfactualFamily.from_json(doc)
+
+
+def random_cpt_model(rng, cards, zero_rate=0.0):
+    """DAG over 4-5 vertices with 2-3 targets and seeded CPTs (parents in
+    order -> cell -> state -> probability); entries are zero with the given
+    rate, though never a whole row."""
+    n = rng.randint(4, 5)
+    names = [f"V{i}" for i in range(n)]
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    dag = Dag(names, edges, rng.sample(names, rng.randint(2, 3)))
+    card = {v: cards for v in names}
+    cpts = {}
+    for v in names:
+        pa = [u for u in names if u in dag.parents(v)]
+        table = {}
+        for cell in product_cells([card[u] for u in pa]):
+            weights = [0 if rng.random() < zero_rate else rng.randint(1, 9) for _ in range(card[v])]
+            if not any(weights):
+                weights[rng.randrange(card[v])] = 1
+            table[cell] = [F(w, sum(weights)) for w in weights]
+        cpts[v] = (pa, table)
+    return dag, card, cpts
+
+
+def truncated_factorization(dag, card, cpts, intervention):
+    """Member mass from the generating CPTs, parents taking assigned values."""
+    names = list(dag.order)
+    mass = {}
+    for cell in product_cells([card[v] for v in names]):
+        value = dict(zip(names, cell))
+        p = F(1)
+        for v in names:
+            pa, table = cpts[v]
+            p *= table[tuple(intervention.get(u, value[u]) for u in pa)][value[v]]
+        if p:
+            mass[cell] = p
+    return mass
+
+
+def per_cell_gformula(dag, cards, cpts, intervention):
+    """Reference: the g-formula product cell by cell, first failure raising."""
+    order = dag.order
+    mass = {}
+    for cell in product_cells([cards[v] for v in order]):
+        value = dict(zip(order, cell))
+        acc = F(1)
+        for v in order:
+            pa = [u for u in order if u in dag.parents(v)]
+            parent_cell = tuple(intervention.get(u, value[u]) for u in pa)
+            row = cpts[v].row(parent_cell)
+            if row is None:
+                raise NotIdentified(v, dict(zip(pa, parent_cell)))
+            acc *= row.get((value[v],), F(0))
+            if not acc:
+                break
+        if acc:
+            mass[cell] = acc
+    return mass
+
+
+def every_intervention(dag, cards):
+    for r in range(len(dag.targets) + 1):
+        for D in itertools.combinations(dag.targets, r):
+            for d in product_cells([cards[t] for t in D]):
+                yield dict(zip(D, d))
+
+
+class TestGformulaSweep:
+    @pytest.mark.parametrize("cards", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_members_equal_the_truncated_factorization(self, cards, seed):
+        dag, card, gen = random_cpt_model(random.Random(1000 * cards + seed), cards)
+        law = FiniteDistribution(
+            [(v, card[v]) for v in dag.order], truncated_factorization(dag, card, gen, {})
+        )
+        cpts = observational_cpts(law, dag)
+        for iv in every_intervention(dag, card):
+            member = gformula_member(dag, card, cpts, iv)
+            assert dict(member.support()) == truncated_factorization(dag, card, gen, iv), iv
+
+    def test_non_positive_laws_match_the_per_cell_loop(self):
+        outcomes = set()
+        for seed in range(12):
+            cards = 2 + seed % 2
+            dag, card, gen = random_cpt_model(random.Random(seed), cards, zero_rate=0.4)
+            law = FiniteDistribution(
+                [(v, card[v]) for v in dag.order], truncated_factorization(dag, card, gen, {})
+            )
+            cpts = observational_cpts(law, dag)
+            for iv in every_intervention(dag, card):
+                try:
+                    expected = per_cell_gformula(dag, card, cpts, iv)
+                except NotIdentified as exc:
+                    with pytest.raises(NotIdentified) as got:
+                        gformula_member(dag, card, cpts, iv)
+                    assert (got.value.vertex, got.value.cell) == (exc.vertex, exc.cell), (seed, iv)
+                    outcomes.add("not identified")
+                else:
+                    assert dict(gformula_member(dag, card, cpts, iv).support()) == expected, (seed, iv)
+                    outcomes.add("identified")
+        assert outcomes == {"identified", "not identified"}
+
+    def test_first_failing_full_cell_names_the_vertex(self):
+        # B is undefined after A=1 and C after (A, B) = (0, 0); the full cell
+        # (0, 0, 0) precedes (1, 0, 0), so C is named although B comes first
+        dag = Dag(["A", "B", "C"], [("A", "B"), ("A", "C"), ("B", "C")])
+        a, b, c = ("A", 2), ("B", 2), ("C", 2)
+        half = {(0,): HALF, (1,): HALF}
+        cpts = {
+            "A": ConditionalTable((a,), (), {(): half}),
+            "B": ConditionalTable((b,), (a,), {(0,): half, (1,): None}),
+            "C": ConditionalTable((c,), (a, b), {(0, 0): None, (0, 1): half, (1, 0): half, (1, 1): half}),
+        }
+        cards = {"A": 2, "B": 2, "C": 2}
+        with pytest.raises(NotIdentified) as reference:
+            per_cell_gformula(dag, cards, cpts, {})
+        with pytest.raises(NotIdentified) as exc:
+            gformula_member(dag, cards, cpts, {})
+        assert exc.value.vertex == reference.value.vertex == "C"
+        assert exc.value.cell == reference.value.cell == {"A": 0, "B": 0}
 
 
 class TestCompleteGraph:
