@@ -2,15 +2,19 @@
 
 All probabilities are :class:`fractions.Fraction` values and every operation
 is closed over the rationals, so equality checks used by the checkers are
-exact rather than tolerance-based. Conditional tables mark rows whose
-conditioning event has probability zero as undefined; the checkers skip such
-rows and report how many were skipped.
+exact rather than tolerance-based. Each table also keeps its masses as
+integer numerators over one shared denominator, so mass totals and
+conditional rows are integer sums and a ``Fraction`` is built once per
+conditional row entry. Conditional tables mark rows whose conditioning
+event has probability zero as undefined; the checkers skip such rows and
+report how many were skipped.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +49,22 @@ def document_int(value, what: str) -> int:
     return value
 
 
+def _integer_masses(mass: Mapping) -> tuple[int, dict]:
+    """``(L, {key: p·L})``: the least common denominator ``L`` of the values
+    and each value's integer numerator over it; ``L`` is 1 when empty."""
+    den = math.lcm(*(p.denominator for p in mass.values()))
+    return den, {key: p.numerator * (den // p.denominator) for key, p in mass.items()}
+
+
+def _projector(positions: Sequence[int]):
+    """Map a cell to the tuple of its coordinates at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    # one position or none: a slice keeps the result a tuple
+    i = positions[0] if positions else 0
+    return operator.itemgetter(slice(i, i + len(positions)))
+
+
 def parse_prob(value) -> Fraction:
     """Exact probability from ``"num/den"`` strings, decimals, or numbers."""
     if isinstance(value, Fraction):
@@ -71,13 +91,17 @@ class FiniteDistribution:
     """Joint probability table over named discrete variables.
 
     Cells are tuples of state indices aligned with ``variables``. Only
-    nonzero cells are stored; the total mass must be exactly one.
+    nonzero cells are stored; the total mass must be exactly one. ``_scaled``
+    holds the same masses as ``(L, {cell: p·L})``, see :func:`_integer_masses`.
     """
 
-    __slots__ = ("variables", "_index", "_mass")
+    __slots__ = ("variables", "_index", "_mass", "_scaled")
 
     def __init__(self, variables: Sequence[tuple[str, int]], mass: Mapping[tuple, Fraction], *, _checked=False):
-        variables = tuple((str(n), k) for n, k in variables)
+        variables = tuple((n, k) for n, k in variables)
+        for n, _ in variables:
+            if not isinstance(n, str):
+                raise InvalidDocument(f"variable name must be a string, got {n!r}")
         names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise InvalidDocument("duplicate variable names")
@@ -92,7 +116,6 @@ class FiniteDistribution:
             raise CellBudgetExceeded(size, bound)
         cards = tuple(k for _, k in variables)
         clean: dict[tuple[int, ...], Fraction] = {}
-        total = ZERO
         for cell, p in mass.items():
             cell = tuple(cell)
             if len(cell) != len(variables):
@@ -105,16 +128,19 @@ class FiniteDistribution:
             p = p if isinstance(p, Fraction) else parse_prob(p)
             if p < 0:
                 raise InvalidDocument(f"negative mass at cell {cell}")
-            total += p
             if p != 0:
                 if cell in clean:
                     raise InvalidDocument(f"duplicate cell {cell}")
                 clean[cell] = p
-        if not _checked and total != 1:
-            raise InvalidDocument(f"total mass is {total}, expected 1")
+        den, nums = _integer_masses(clean)
+        if not _checked:
+            total = sum(nums.values())
+            if total != den:
+                raise InvalidDocument(f"total mass is {Fraction(total, den)}, expected 1")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_index", {n: i for i, (n, _) in enumerate(variables)})
         object.__setattr__(self, "_mass", clean)
+        object.__setattr__(self, "_scaled", (den, nums))
 
     @classmethod
     def _raw(cls, variables, mass) -> "FiniteDistribution":
@@ -150,7 +176,8 @@ class FiniteDistribution:
         return sorted(self._mass.items())
 
     def total(self) -> Fraction:
-        return sum(self._mass.values(), ZERO)
+        den, nums = self._scaled
+        return Fraction(sum(nums.values()), den)
 
     def is_strictly_positive(self) -> bool:
         # only nonzero, in-range, distinct cells are stored
@@ -223,21 +250,25 @@ class FiniteDistribution:
         g_pos = [self.index(n) for n in given]
         t_vars = tuple(self.variables[i] for i in t_pos)
         g_vars = tuple(self.variables[i] for i in g_pos)
-        joint: dict[tuple, dict[tuple, Fraction]] = {}
-        denom: dict[tuple, Fraction] = {}
-        for cell, p in self._mass.items():
-            g = tuple(cell[i] for i in g_pos)
-            t = tuple(cell[i] for i in t_pos)
-            denom[g] = denom.get(g, ZERO) + p
-            row = joint.setdefault(g, {})
-            row[t] = row.get(t, ZERO) + p
+        t_of, g_of = _projector(t_pos), _projector(g_pos)
+        # integer numerators over the table's shared denominator, which
+        # cancels in every row
+        joint: dict[tuple, dict[tuple, int]] = {}
+        for cell, n in self._scaled[1].items():
+            g, t = g_of(cell), t_of(cell)
+            row = joint.get(g)
+            if row is None:
+                joint[g] = {t: n}
+            else:
+                row[t] = row.get(t, 0) + n
         rows: dict[tuple, dict[tuple, Fraction] | None] = {}
         for g in itertools.product(*(range(k) for _, k in g_vars)):
-            d = denom.get(g, ZERO)
-            if d == 0:
+            row = joint.get(g)
+            if row is None:
                 rows[g] = None
             else:
-                rows[g] = {t: p / d for t, p in sorted(joint[g].items())}
+                d = sum(row.values())
+                rows[g] = {t: Fraction(n, d) for t, n in sorted(row.items())}
         return ConditionalTable(t_vars, g_vars, rows)
 
     # -- serialization ------------------------------------------------
@@ -260,7 +291,7 @@ class FiniteDistribution:
         variables = document.get("variables")
         if not isinstance(variables, Mapping) or not variables:
             raise InvalidDocument("'variables' must be a non-empty object")
-        var_list = [(str(n), document_int(k, f"cardinality of {n!r}")) for n, k in variables.items()]
+        var_list = [(n, document_int(k, f"cardinality of {n!r}")) for n, k in variables.items()]
         mass: dict[tuple, Fraction] = {}
         for entry in document.get("entries", []):
             if not isinstance(entry, Mapping) or set(entry) != {"cell", "p"}:
@@ -282,7 +313,14 @@ class ConditionalTable:
         object.__setattr__(self, "given", tuple(given))
         object.__setattr__(self, "rows", dict(rows))
         for cell, row in self.rows.items():
-            if row is not None and sum(row.values(), ZERO) != 1:
+            if row is None:
+                continue
+            try:
+                den = math.lcm(*(q.denominator for q in row.values()))
+                total = sum(q.numerator * (den // q.denominator) for q in row.values())
+            except AttributeError:
+                raise InvalidDocument(f"conditional row at {cell} holds a value that is not exact") from None
+            if total != den:
                 raise InvalidDocument(f"conditional row at {cell} does not sum to 1")
 
     def __setattr__(self, name, value):

@@ -18,29 +18,36 @@ from .errors import CyclicGraph, InvalidDocument, UnknownVertex
 RELATIVE_KINDS = ("parents", "predecessors", "ancestors", "children")
 
 
+def _vertex_name(v) -> str:
+    if not isinstance(v, str):
+        raise InvalidDocument(f"vertex name must be a string, got {v!r}")
+    return v
+
+
 class Dag:
     """Immutable DAG over named vertices with a designated target subset."""
 
     __slots__ = ("vertices", "edges", "targets", "order", "_parents", "_children", "_rank")
 
     def __init__(self, vertices, edges=(), targets=(), order=None):
-        vertices = tuple(str(v) for v in vertices)
+        vertices = tuple(_vertex_name(v) for v in vertices)
         if len(set(vertices)) != len(vertices):
             raise InvalidDocument("duplicate vertex names")
         vset = set(vertices)
         norm_edges = set()
         for pair in edges:
             tail, head = pair
-            tail, head = str(tail), str(head)
+            tail, head = _vertex_name(tail), _vertex_name(head)
             for end in (tail, head):
                 if end not in vset:
                     raise UnknownVertex(end)
             if tail == head:
                 raise CyclicGraph([tail, head])
             norm_edges.add((tail, head))
+        targets = tuple(_vertex_name(t) for t in targets)
         for t in targets:
-            if str(t) not in vset:
-                raise UnknownVertex(str(t))
+            if t not in vset:
+                raise UnknownVertex(t)
 
         parents: dict[str, set[str]] = {v: set() for v in vertices}
         children: dict[str, set[str]] = {v: set() for v in vertices}
@@ -51,7 +58,7 @@ class Dag:
         if order is None:
             order = _kahn_order(vertices, parents, children)
         else:
-            order = tuple(str(v) for v in order)
+            order = tuple(_vertex_name(v) for v in order)
             if sorted(order) != sorted(vertices):
                 raise InvalidDocument("order must be a permutation of the vertices")
             rank = {v: i for i, v in enumerate(order)}
@@ -66,7 +73,7 @@ class Dag:
         object.__setattr__(self, "order", tuple(order))
         rank = {v: i for i, v in enumerate(self.order)}
         object.__setattr__(self, "_rank", rank)
-        tset = {str(t) for t in targets}
+        tset = set(targets)
         object.__setattr__(self, "targets", tuple(v for v in self.order if v in tset))
         object.__setattr__(self, "_parents", {v: frozenset(parents[v]) for v in vertices})
         object.__setattr__(self, "_children", {v: frozenset(children[v]) for v in vertices})

@@ -291,6 +291,25 @@ class TestGformulaCommand:
         )
         assert code == 2
 
+    def test_out_of_range_intervention_exits_2(self, capsys, chain_graph_file, chain_dist_file):
+        code, out = run(
+            capsys, "gformula", "--graph", chain_graph_file, "--dist", chain_dist_file,
+            "--intervene", "A=5",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "InvalidDocument"
+        assert doc["message"] == "state 5 out of range for 'A' (cardinality 2)"
+
+    def test_out_of_range_intervention_on_childless_target_exits_2(self, capsys, tmp_path, chain_dist_file):
+        graph = tmp_path / "chain_target_c.json"
+        graph.write_text(json.dumps({"vertices": ["A", "B", "C"], "edges": [["A", "B"], ["B", "C"]], "targets": ["C"]}))
+        code, out = run(capsys, "gformula", "--graph", str(graph), "--dist", chain_dist_file, "--intervene", "C=7")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "InvalidDocument"
+        assert doc["message"] == "state 7 out of range for 'C' (cardinality 2)"
+
     def test_output_roundtrips_and_is_deterministic(self, capsys, tmp_path, chain_graph_file, chain_dist_file):
         outs = []
         for name in ("a.json", "b.json"):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 
 from helpers import bernoulli_pair, chain_joint, small_distributions
 from swigcheck.dist import (
+    ConditionalTable,
     FiniteDistribution,
     depends_only_on,
     parse_prob,
@@ -224,3 +226,91 @@ def test_reorder_into_the_current_order_returns_the_same_table():
     assert d.reorder(["A", "B", "C"]) is d
     with pytest.raises(UnknownVariable):
         d.reorder(("A", "B"))
+
+
+@pytest.mark.parametrize("name", [1, None, ("A",)])
+def test_constructor_rejects_non_string_variable_names(name):
+    with pytest.raises(InvalidDocument, match="variable name must be a string"):
+        FiniteDistribution([(name, 2), ("B", 2)], {(0, 0): 1})
+
+
+def test_total_mass_message_names_the_exact_sum():
+    with pytest.raises(InvalidDocument, match="total mass is 11/12, expected 1"):
+        FiniteDistribution([("A", 3)], {(0,): Fraction(1, 3), (1,): Fraction(1, 3), (2,): Fraction(1, 4)})
+
+
+def test_conditional_table_rejects_a_row_not_summing_to_one():
+    a = ("A", 2)
+    ConditionalTable((a,), (), {(): {(0,): HALF, (1,): HALF}})
+    with pytest.raises(InvalidDocument, match="does not sum to 1"):
+        ConditionalTable((a,), (), {(): {(0,): HALF, (1,): Fraction(1, 3)}})
+    with pytest.raises(InvalidDocument, match="not exact"):
+        ConditionalTable((a,), (), {(): {(0,): 0.5, (1,): 0.5}})
+
+
+def reference_conditional_rows(d, target, given):
+    """Rows by Fraction accumulation and division, a reference for the
+    integer path; names resolve as in ``conditional`` (sets by declaration)."""
+    def resolve(names):
+        return [n for n in d.names if n in names] if isinstance(names, (set, frozenset)) else list(names)
+
+    t_pos = [d.index(n) for n in resolve(target)]
+    g_pos = [d.index(n) for n in resolve(given)]
+    joint, denom = {}, {}
+    for cell, p in d.support():
+        g = tuple(cell[i] for i in g_pos)
+        t = tuple(cell[i] for i in t_pos)
+        denom[g] = denom.get(g, Fraction(0)) + p
+        row = joint.setdefault(g, {})
+        row[t] = row.get(t, Fraction(0)) + p
+    rows = {}
+    for g in itertools.product(*(range(d.variables[i][1]) for i in g_pos)):
+        mass = denom.get(g, Fraction(0))
+        rows[g] = None if mass == 0 else {t: p / mass for t, p in sorted(joint[g].items())}
+    return rows
+
+
+def seeded_law(seed, raw):
+    """Law over 3-4 variables, X0 ternary, with varied denominators and
+    structural zeros (all of X0=2, X1=1 among them); a ``raw`` law keeps its
+    unnormalized mass."""
+    rng = random.Random(seed)
+    variables = [("X0", 3)] + [(f"X{i}", rng.choice((2, 3))) for i in range(1, rng.randint(3, 4))]
+    mass = {}
+    for cell in itertools.product(*(range(k) for _, k in variables)):
+        weight = 0 if cell[:2] == (2, 1) else rng.choice((0, 1, 2, 5, 7))
+        mass[cell] = Fraction(weight, rng.randint(1, 12))
+    if raw:
+        return FiniteDistribution._raw(variables, mass)
+    total = sum(mass.values())
+    return FiniteDistribution(variables, {cell: p / total for cell, p in mass.items()})
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_conditional_matches_fraction_reference(seed, raw):
+    d = seeded_law(seed, raw)
+    assert (d.total() != 1) == raw
+    assert d.total() == sum(p for _, p in d.support())
+    names = d.names
+    rng = random.Random(100 + seed)
+    shuffled = rng.sample(names, len(names))
+    queries = [
+        ((names[-1],), set(names[:-1])),
+        ({names[0]}, tuple(reversed(names[1:]))),
+        ((names[1],), ()),
+        ((names[1], names[0]), (names[-1],)),
+        (tuple(shuffled[:2]), tuple(shuffled[2:])),
+        ((names[2],), (names[1], names[0])),
+    ]
+    undefined = 0
+    for target, given in queries:
+        table = d.conditional(target, given)
+        expected = reference_conditional_rows(d, target, given)
+        assert list(table.rows) == list(expected)
+        for cell, row in expected.items():
+            got = table.rows[cell]
+            assert got == row and (row is None or list(got) == list(row))
+        undefined += sum(row is None for row in expected.values())
+    # the X0=2, X1=1 zeros leave the (X1, X0) rows of the last query undefined
+    assert undefined > 0

@@ -114,3 +114,23 @@ def test_parse_assignment_and_validation():
         parse_assignment("Q=1", allowed={"X0"})
     with pytest.raises(InvalidDocument):
         validate_assignment({"X0": 5}, {"X0": 2})
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, targets, order",
+    [
+        ([1, 2], [(1, 2)], [1], None),
+        (["A", None], [], [], None),
+        (["A", "B"], [("A", 2)], [], None),
+        (["A", "B"], [("A", "B")], [("A",)], None),
+        (["A", "B"], [("A", "B")], [], ["A", 2]),
+    ],
+)
+def test_non_string_vertex_names_are_rejected(vertices, edges, targets, order):
+    with pytest.raises(InvalidDocument, match="vertex name must be a string"):
+        Dag(vertices, edges, targets, order)
+
+
+def test_parse_dag_rejects_numeric_vertex_names():
+    with pytest.raises(InvalidDocument, match="vertex name must be a string, got 1"):
+        parse_dag({"vertices": [1, 2], "edges": [[1, 2]]})
