@@ -50,8 +50,10 @@ from swigcheck.errors import SwigcheckError
 from swigcheck.family import (
     CounterfactualFamily,
     build_ffrcistg,
+    check_conditional_consistency,
     check_vector_consistency,
     kernel_chain_check,
+    reduce_interventions,
 )
 from swigcheck.graph import Dag, serialize_dag
 
@@ -316,6 +318,29 @@ def library_records() -> dict:
                 out[f"lib/natural-value/{name}/{i}|{others[0]}=1"] = _report(
                     lambda: natural_value_regime(k, i, others, [1])
                 )
+    fams = {name: fam for name, fam, _ in families()}
+    # (record, family, B, C, W, mode, Y): for each mode a premise that fails,
+    # a conclusion that holds, one that is violated, and skipped rows
+    for label, name, B, C, W, mode, Y in (
+        ("premise-failed", "chain/holds", ("A",), (), ("A", "B"), "joint", ()),
+        ("conclusion-holds", "chain/holds", ("A",), (), ("A",), "joint", ()),
+        ("conclusion-violated", "chain/swapped", ("A",), ("B",), ("A", "C"), "joint", ()),
+        ("premise-failed", "chain/holds", ("A",), (), ("A",), "conditional", ("B",)),
+        ("conclusion-holds", "chain/holds", ("A",), (), ("A", "B"), "conditional", ("C",)),
+        ("conclusion-violated", "chain/swapped", ("A",), ("B",), ("A",), "conditional", ("C",)),
+        ("skipped-rows", "zeros/holds", ("X0",), ("X1",), ("H", "X0", "Z"), "conditional", ("Y",)),
+    ):
+        out[f"lib/reduce-interventions/{mode}/{label}"] = _report(
+            lambda: reduce_interventions(fams[name], B, C, W, mode, Y)
+        )
+    for label, name, B, C, Y, W in (
+        ("holds", "chain/holds", ("A",), ("B",), ("C",), ("B",)),
+        ("violated", "chain/swapped", ("A",), ("B",), ("C",), ("B",)),
+        ("skipped-rows", "zeros/holds", ("X0",), ("X1",), ("Y",), ("H", "Z")),
+    ):
+        out[f"lib/conditional-consistency/{label}"] = _report(
+            lambda: check_conditional_consistency(fams[name], B, C, Y, W)
+        )
     demo = frontdoor_demo()
     out["lib/frontdoor/sharp-kernel"] = demo["sharp"]["kernel"].to_json()
     out["lib/frontdoor/leaky-kernel"] = demo["leaky"]["kernel"].to_json()
