@@ -7,7 +7,7 @@ families and regime kernels by exhaustive enumeration over exact rationals,
 and computes interventional laws through the extended g-formula.
 """
 
-from .graph import Dag, parse_dag, relatives, serialize_dag
+from .graph import Dag, parse_dag, serialize_dag
 from .dist import ConditionalTable, FiniteDistribution, depends_only_on
 from .swig import (
     Node,

@@ -4,14 +4,18 @@ Every command prints a JSON-lines report whose first line carries the
 verdict; ``--format table`` renders the same data as text. Exit codes are
 uniform: 0 when the property holds or the command succeeds, 1 when a checked
 property is violated (with a machine-readable witness on standard output),
-2 on input or usage errors.
+2 on input or usage errors, 3 on an internal error (traceback on standard
+error). When the reader of standard output goes away the command stops
+writing and exits 141, as a process killed by SIGPIPE does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,11 +27,8 @@ from .graph import parse_assignment, parse_dag, validate_assignment
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_ERROR = 2
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(lines, out=None):
@@ -46,7 +47,7 @@ def _write_artifact(path: str | None, text: str):
 
 
 def cmd_split(args) -> int:
-    dag = parse_dag(_load_json(args.graph))
+    dag = parse_dag(family.read_json_file(args.graph))
     assignment = parse_assignment(args.assign or "")
     sw = swig.split(dag, assignment, args.labeling)
     if args.format == "dot":
@@ -57,7 +58,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_dsep(args) -> int:
-    dag = parse_dag(_load_json(args.graph))
+    dag = parse_dag(family.read_json_file(args.graph))
     assignment = parse_assignment(args.assign or "")
     if args.side == "swig":
         graph = swig.split(dag, assignment, "uniform").graph
@@ -73,7 +74,7 @@ def cmd_dsep(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    dag = parse_dag(_load_json(args.graph))
+    dag = parse_dag(family.read_json_file(args.graph))
     if args.side == "swig":
         statements = swig.local_markov_statements(dag, args.view)
     else:
@@ -127,19 +128,12 @@ def cmd_check(args) -> int:
     if bool(args.family) == bool(args.kernel):
         raise SwigcheckError("exactly one of --family or --kernel is required")
     if args.family:
-        if args.mode not in CHECK_FAMILY_MODES:
-            raise SwigcheckError(f"mode {args.mode!r} does not apply to families")
-        fam = family.CounterfactualFamily.from_json(
-            _load_json(args.family), base_dir=Path(args.family).parent
-        )
-        reports = _family_reports(fam, args.mode)
+        path, spec, modes, checks = args.family, family.CounterfactualFamily, CHECK_FAMILY_MODES, _family_reports
     else:
-        if args.mode not in CHECK_KERNEL_MODES:
-            raise SwigcheckError(f"mode {args.mode!r} does not apply to kernels")
-        kernel = decision.RegimeKernel.from_json(
-            _load_json(args.kernel), base_dir=Path(args.kernel).parent
-        )
-        reports = _kernel_reports(kernel, args.mode)
+        path, spec, modes, checks = args.kernel, decision.RegimeKernel, CHECK_KERNEL_MODES, _kernel_reports
+    if args.mode not in modes:
+        raise SwigcheckError(f"mode {args.mode!r} does not apply to {'families' if args.family else 'kernels'}")
+    reports = checks(spec.from_json(family.read_json_file(path), base_dir=Path(path).parent), args.mode)
     holds = all(r.holds for r in reports)
     lines = [{"verdict": "holds" if holds else "violated"}] + [r.to_json() for r in reports]
     _emit(lines)
@@ -147,8 +141,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gformula(args) -> int:
-    dag = parse_dag(_load_json(args.graph))
-    p = FiniteDistribution.from_json(_load_json(args.dist))
+    dag = parse_dag(family.read_json_file(args.graph))
+    p = FiniteDistribution.from_json(family.read_json_file(args.dist))
     intervention = parse_assignment(args.intervene or "")
     extra = set(intervention) - set(dag.targets)
     if extra:
@@ -181,9 +175,9 @@ def cmd_gformula(args) -> int:
 def cmd_demo(args) -> int:
     if args.name == "intersection":
         half = Fraction(1, 2)
-        pm = _bernoulli_pair(half, Fraction(3, 10))
-        pp = _bernoulli_pair(half, Fraction(7, 10))
-        kernel, report = decision.build_intersection_counterexample(pm, pp)
+        pm = decision.bernoulli_pair(half, Fraction(3, 10))
+        pp = decision.bernoulli_pair(half, Fraction(7, 10))
+        _, report = decision.build_intersection_counterexample(pm, pp)
         lines = [{"verdict": "holds" if report.holds else "violated"}, report.to_json()]
         _emit(lines)
         return EXIT_OK if report.holds else EXIT_VIOLATED
@@ -225,15 +219,6 @@ def cmd_demo(args) -> int:
         _emit(lines)
         return EXIT_OK if ok else EXIT_VIOLATED
     raise SwigcheckError(f"unknown demo {args.name!r}")
-
-
-def _bernoulli_pair(px: Fraction, py: Fraction) -> FiniteDistribution:
-    mass = {
-        (x, y): (px if x == 1 else 1 - px) * (py if y == 1 else 1 - py)
-        for x in (0, 1)
-        for y in (0, 1)
-    }
-    return FiniteDistribution([("X", 2), ("Y", 2)], mass)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -300,13 +285,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except SwigcheckError as exc:
-        _emit([{"verdict": "error", "error": type(exc).__name__, "message": str(exc)}])
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _emit([{"verdict": "error", "error": type(exc).__name__, "message": str(exc)}])
-        return EXIT_ERROR
+        try:
+            code = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (SwigcheckError, OSError) as exc:
+            # inputs that cannot be read are InvalidDocument; an OSError here
+            # comes from writing the --out path
+            _emit([{"verdict": "error", "error": type(exc).__name__, "message": str(exc)}])
+            code = EXIT_ERROR
+        except Exception:
+            traceback.print_exc()
+            return EXIT_INTERNAL
+        sys.stdout.flush()  # a reader that has gone is seen here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # write nothing more, and send what is still buffered to the null
+        # device so that the final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 def entry() -> None:

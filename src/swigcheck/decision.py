@@ -13,7 +13,6 @@ indicator appears on the right or in the conditioning set.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +28,6 @@ from .dist import (
 )
 from .errors import (
     IllFormedEci,
-    IncompleteFamily,
     IncompleteKernel,
     InvalidDocument,
     InvalidQuery,
@@ -44,13 +42,14 @@ from .family import (
     build_ffrcistg,
     graph_cardinalities,
     graph_member,
-    intervention_key,
-    load_graph_field,
+    markov_report,
     markov_rows,
+    read_spec,
+    sub_interventions,
 )
-from .graph import Dag, parse_dag, serialize_dag
+from .graph import Dag, serialize_dag
 from .reporting import CheckReport
-from .swig import Node, SplitGraph, markov_statement
+from .swig import Node, SplitGraph, independence_text, markov_statement
 
 IDLE = None
 
@@ -86,16 +85,6 @@ class AugmentedDiagram:
 
     def __setattr__(self, name, value):
         raise AttributeError("AugmentedDiagram instances are immutable")
-
-    def to_json(self) -> dict:
-        return {
-            "graph": serialize_dag(self.dag),
-            "regime_nodes": list(self.regime_nodes),
-            "solid_edges": [list(e) for e in self.indicator_edges],
-            "contextual_edges": [
-                {"edge": [tail, head], "owner": tail} for tail, head in self.contextual_edges
-            ],
-        }
 
 
 def augment(dag: Dag, targets=None) -> AugmentedDiagram:
@@ -146,10 +135,6 @@ def augmented_markov_statements(dag: Dag) -> list[dict]:
         st = markov_statement(dag, v)
         right = list(st.other_random) + [indicator_name(t) for t in st.other_fixed]
         given = list(st.given_random) + [indicator_name(t) for t in st.given_fixed]
-        text = f"{v} _||_ {', '.join(right) if right else '(nothing)'}"
-        if given:
-            text += f" | {', '.join(given)}"
-        text += " [all indicators non-idle]"
         out.append(
             {
                 "vertex": v,
@@ -158,7 +143,7 @@ def augmented_markov_statements(dag: Dag) -> list[dict]:
                 "given_random": list(st.given_random),
                 "given_indicators": [indicator_name(t) for t in st.given_fixed],
                 "context": "all-non-idle",
-                "text": text,
+                "text": independence_text(v, right, given) + " [all indicators non-idle]",
             }
         )
     return out
@@ -188,7 +173,7 @@ class RegimeKernel:
         indicators: Sequence[str],
         tied_targets: Sequence[str | None],
         regime_space: Sequence[Regime],
-        members: Mapping[Regime, FiniteDistribution],
+        members: Mapping[Regime, FiniteDistribution] | Iterable[tuple[Regime, FiniteDistribution]],
         roles: Mapping[str, str] | None = None,
     ):
         cards = graph_cardinalities(dag, cardinalities)
@@ -208,17 +193,19 @@ class RegimeKernel:
             for value, t in zip(f, tied):
                 if value is IDLE:
                     continue
-                if t is not None and not 0 <= int(value) < cards[t]:
+                if t is not None and not 0 <= document_int(value, "regime value") < cards[t]:
                     raise InvalidDocument(f"regime value {value} out of range for {t!r}")
             if f in seen:
                 raise InvalidDocument(f"duplicate regime {f}")
             seen.add(f)
             space.append(f)
         canon: dict[Regime, FiniteDistribution] = {}
-        for f, dist in members.items():
+        for f, dist in (members.items() if isinstance(members, Mapping) else members):
             f = tuple(f)
             if f not in seen:
                 raise InvalidDocument(f"member for regime {f} outside the regime space")
+            if f in canon:
+                raise InvalidDocument(f"duplicate member for regime {f}")
             canon[f] = graph_member(dag, cards, f, dist)
         object.__setattr__(self, "dag", dag)
         object.__setattr__(self, "cards", cards)
@@ -236,24 +223,19 @@ class RegimeKernel:
         cls,
         dag: Dag,
         cardinalities: Mapping[str, int],
-        members: Mapping[Regime, FiniteDistribution],
+        members: Mapping[Regime, FiniteDistribution] | Iterable[tuple[Regime, FiniteDistribution]],
         regime_space: Sequence[Regime] | None = None,
         roles: Mapping[str, str] | None = None,
     ) -> "RegimeKernel":
         """Kernel whose indicators are the target indicators of ``dag``."""
         indicators = [indicator_name(t) for t in dag.targets]
         if regime_space is None:
-            regime_space = full_regime_space(dag, cardinalities)
+            regime_space = full_regime_space(dag, graph_cardinalities(dag, cardinalities))
         return cls(dag, cardinalities, indicators, dag.targets, regime_space, members, roles)
 
     @property
     def tied(self) -> bool:
         return all(t is not None for t in self.tied_targets)
-
-    def indicator_index(self, name: str) -> int:
-        if name not in self.indicators:
-            raise UnknownVertex(name)
-        return self.indicators.index(name)
 
     def target_index(self, target: str) -> int:
         for j, t in enumerate(self.tied_targets):
@@ -270,26 +252,17 @@ class RegimeKernel:
     def idle_regime(self) -> Regime:
         return tuple(IDLE for _ in self.indicators)
 
-    def all_non_idle_regimes(self) -> list[Regime]:
-        return [f for f in self.regime_space if all(v is not IDLE for v in f)]
-
     def to_json(self) -> dict:
         if not self.tied:
             raise NotConvertible("kernels with free indicators have no file form")
-        ordered = sorted(self.members, key=_regime_sort_key)
+        # IDLE is None, so regimes are written as they are stored
         doc = {
             "graph": serialize_dag(self.dag),
             "cardinalities": dict(self.cards),
-            "regime_space": [
-                [v if v is not IDLE else None for v in f]
-                for f in sorted(self.regime_space, key=_regime_sort_key)
-            ],
+            "regime_space": [list(f) for f in sorted(self.regime_space, key=_regime_sort_key)],
             "members": [
-                {
-                    "regime": {t: (f[j] if f[j] is not IDLE else None) for j, t in enumerate(self.tied_targets)},
-                    "dist": self.members[f].to_json(),
-                }
-                for f in ordered
+                {"regime": dict(zip(self.tied_targets, f)), "dist": self.members[f].to_json()}
+                for f in sorted(self.members, key=_regime_sort_key)
             ],
         }
         if self.roles:
@@ -298,31 +271,25 @@ class RegimeKernel:
 
     @classmethod
     def from_json(cls, document, base_dir=None) -> "RegimeKernel":
-        if isinstance(document, (str, bytes)):
-            document = json.loads(document)
-        if not isinstance(document, Mapping):
-            raise InvalidDocument("kernel spec must be a JSON object")
-        unknown = set(document) - {"graph", "cardinalities", "regime_space", "members", "roles"}
-        if unknown:
-            raise InvalidDocument(f"unexpected kernel fields: {sorted(unknown)}")
-        dag = parse_dag(load_graph_field(document.get("graph"), base_dir))
-        cards = document.get("cardinalities")
-        space = None
-        if "regime_space" in document:
-            space = [tuple(_regime_value(v) for v in f) for f in document["regime_space"]]
-        members = {}
-        for entry in document.get("members", []):
-            if not isinstance(entry, Mapping) or set(entry) != {"regime", "dist"}:
-                raise InvalidDocument(f"bad kernel member entry: {entry!r}")
-            regime_map = dict(entry["regime"])
-            extra = set(regime_map) - set(dag.targets)
-            if extra:
-                raise InvalidDocument(f"regime names non-targets: {sorted(extra)}")
-            f = tuple(_regime_value(regime_map.get(t)) for t in dag.targets)
-            if f in members:
-                raise InvalidDocument(f"duplicate member for regime {f}")
-            members[f] = FiniteDistribution.from_json(entry["dist"])
-        return cls.for_targets(dag, cards, members, space, document.get("roles"))
+        document, dag, members = read_spec(
+            document, base_dir, "kernel", "regime", _read_regime, ("regime_space", "roles")
+        )
+        space = document.get("regime_space")
+        if space is not None:
+            if not isinstance(space, (list, tuple)) or not all(isinstance(f, (list, tuple)) for f in space):
+                raise InvalidDocument(f"'regime_space' must be a list of regimes, got {space!r}")
+            space = [tuple(_regime_value(v) for v in f) for f in space]
+        roles = document.get("roles", {})
+        if not isinstance(roles, Mapping) or not all(isinstance(r, str) for r in roles.values()):
+            raise InvalidDocument(f"'roles' must map role names to names, got {roles!r}")
+        return cls.for_targets(dag, document.get("cardinalities"), members, space, roles)
+
+
+def _read_regime(dag: Dag, regime_map: Mapping) -> Regime:
+    extra = set(regime_map) - set(dag.targets)
+    if extra:
+        raise InvalidDocument(f"regime names non-targets: {sorted(extra)}")
+    return tuple(_regime_value(regime_map.get(t)) for t in dag.targets)
 
 
 def _regime_value(value):
@@ -344,13 +311,8 @@ def full_regime_space(dag: Dag, cards: Mapping[str, int]) -> list[Regime]:
 def family_to_kernel(fam: CounterfactualFamily) -> RegimeKernel:
     """Each intervention member becomes the member of the matching regime."""
     dag = fam.dag
-    members: dict[Regime, FiniteDistribution] = {}
-    for iv in fam.sub_interventions():
-        key = intervention_key(dag.order, iv)
-        if key not in fam.members:
-            raise IncompleteFamily(dict(key))
-        f = tuple(iv.get(t, IDLE) for t in dag.targets)
-        members[f] = fam.members[key]
+    regime = lambda iv: tuple(iv.get(t, IDLE) for t in dag.targets)
+    members = {regime(iv): fam.member(iv) for iv in sub_interventions(dag.targets, fam.cards)}
     return RegimeKernel.for_targets(dag, fam.cards, members)
 
 
@@ -362,10 +324,9 @@ def kernel_to_family(k: RegimeKernel) -> CounterfactualFamily:
     if set(k.regime_space) != expected:
         missing = sorted(expected - set(k.regime_space), key=_regime_sort_key)
         raise NotConvertible(f"regime space is not the full product; missing {missing[:3]}")
-    members = {}
-    for f in k.regime_space:
-        iv = {t: f[j] for j, t in enumerate(k.dag.targets) if f[j] is not IDLE}
-        members[intervention_key(k.dag.order, iv)] = k.member(f)
+    members = [
+        ({t: v for t, v in zip(k.dag.targets, f) if v is not IDLE}, k.member(f)) for f in k.regime_space
+    ]
     return CounterfactualFamily(k.dag, k.cards, members)
 
 
@@ -425,7 +386,7 @@ def natural_value_regime(k: RegimeKernel, i: str, C: Sequence[str] = (), c: Sequ
         raise InvalidQuery("natural-value regimes need target-tied indicators")
     j = k.target_index(i)
     C = tuple(C)
-    c = tuple(int(v) for v in c)
+    c = tuple(document_int(v, "state index") for v in c)
     if len(C) != len(c):
         raise InvalidQuery("C and c must align")
     base = [IDLE] * len(k.indicators)
@@ -472,39 +433,30 @@ def check_augmented_markov(k: RegimeKernel, dag: Dag | None = None) -> CheckRepo
     if not k.tied:
         raise InvalidQuery("augmented Markov check needs target-tied indicators")
     dag = dag or k.dag
-    report = CheckReport("augmented-markov", True)
     Aset = set(dag.targets)
-    for v in dag.order:
-        rows, context_vars, pre, projection = markov_rows(dag, k.cards, k.member, v, "f")
+
+    def components(v, rows, context_vars, pre):
         pa = dag.parents(v)
-        dep = depends_only_on(rows, context_vars, projection)
-        report.skipped += dep.skipped
-        detail = {"vertex": v, "holds": dep.holds}
-        if not dep.holds:
-            report.holds = False
-            detail["witness"] = [dict(w) for w in dep.witness]
-            groups = {
-                "time-order": {f"f:{t}" for t in Aset if dag.rank(t) >= dag.rank(v)},
-                "causal-markov": {
-                    f"f:{t}" for t in Aset if dag.rank(t) < dag.rank(v) and t not in pa
-                },
-                "associational-markov": {f"w:{u}" for u in set(pre) - pa},
-                "ignorability": {f"w:{u}" for u in pa & Aset},
-            }
-            failing = []
-            for name in AUGMENTED_COMPONENTS:
-                group = groups[name]
-                if not group:
-                    continue
-                sub = depends_only_on(rows, context_vars, set(context_vars) - group)
-                if not sub.holds:
-                    failing.append(name)
-            detail["components"] = failing or ["joint"]
-            report.witnesses.append(
-                {"vertex": v, "pair": detail["witness"], "components": detail["components"]}
-            )
-        report.details.append(detail)
-    return report
+        groups = {
+            "time-order": {f"f:{t}" for t in Aset if dag.rank(t) >= dag.rank(v)},
+            "causal-markov": {
+                f"f:{t}" for t in Aset if dag.rank(t) < dag.rank(v) and t not in pa
+            },
+            "associational-markov": {f"w:{u}" for u in set(pre) - pa},
+            "ignorability": {f"w:{u}" for u in pa & Aset},
+        }
+        failing = []
+        for name in AUGMENTED_COMPONENTS:
+            group = groups[name]
+            if not group:
+                continue
+            sub = depends_only_on(rows, context_vars, set(context_vars) - group)
+            if not sub.holds:
+                failing.append(name)
+        return {"components": failing or ["joint"]}
+
+    rows_of = lambda v: markov_rows(dag, k.cards, k.member, v, "f")
+    return markov_report("augmented-markov", dag, rows_of, diagnose=components)
 
 
 # -- extended conditional independence ---------------------------------------
@@ -525,11 +477,8 @@ class EciStatement:
     non_idle: tuple[str, ...] = ()
 
     def describe(self) -> str:
-        text = f"{', '.join(self.left)} _||_ {', '.join(self.right)}"
-        cond = list(self.given) + [f"{f}!=idle" for f in self.non_idle]
-        if cond:
-            text += f" | {', '.join(cond)}"
-        return text
+        given = [*self.given, *(f"{f}!=idle" for f in self.non_idle)]
+        return independence_text(", ".join(self.left), self.right, given)
 
 
 def validate_eci(k: RegimeKernel, stmt: EciStatement) -> None:
@@ -571,19 +520,17 @@ def check_eci(k: RegimeKernel, stmt: EciStatement) -> CheckReport:
     given_s = tuple(v for v in k.dag.order if v in set(stmt.given) & stoch)
     right_s = tuple(v for v in k.dag.order if v in set(stmt.right) & stoch)
     given_f = tuple(f for f in k.indicators if f in set(stmt.given))
-    right_f = tuple(f for f in k.indicators if f in set(stmt.right))
     left = tuple(v for v in k.dag.order if v in set(stmt.left))
     report = CheckReport("eci", True)
     report.notes.append(stmt.describe())
     reference: dict[tuple, tuple] = {}
-    idx = {f: k.indicator_index(f) for f in k.indicators}
+    idx = {f: j for j, f in enumerate(k.indicators)}
     for f in sorted(k.regime_space, key=_regime_sort_key):
         if any(f[idx[n]] is IDLE for n in stmt.non_idle):
             continue
         member = k.member(f)
         table = member.conditional(left, given_s + right_s)
         f_given = tuple(("idle" if f[idx[g]] is IDLE else f[idx[g]]) for g in given_f)
-        f_right = tuple(("idle" if f[idx[g]] is IDLE else f[idx[g]]) for g in right_f)
         for cell in product_cells([k.cards[v] for v in given_s + right_s]):
             row = table.row(cell)
             if row is None:
@@ -662,6 +609,16 @@ def check_dawid_AB(k: RegimeKernel, itt: str, applied: str, indicator: str) -> C
             report.holds = False
             report.witnesses.extend({"condition": name, **w} for w in sub.witnesses[:1])
     return report
+
+
+def bernoulli_pair(px: Fraction, py: Fraction, names=("X", "Y")) -> FiniteDistribution:
+    """Law of two independent binary variables with P(X=1)=px and P(Y=1)=py."""
+    mass = {
+        (x, y): (px if x == 1 else 1 - px) * (py if y == 1 else 1 - py)
+        for x in (0, 1)
+        for y in (0, 1)
+    }
+    return FiniteDistribution([(names[0], 2), (names[1], 2)], mass)
 
 
 def build_intersection_counterexample(
@@ -983,16 +940,12 @@ def frontdoor_demo() -> dict:
 
     sharp_solid, sharp_context = evaluate(sharp)
 
-    leaky = None
-    leaky_solid = leaky_context = None
-    chosen_eps = None
     for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-        candidate = _leaky_kernel(sharp, eps)
-        cand_solid, cand_context = evaluate(candidate)
-        if all(r.holds for r in cand_solid) and not cand_context.holds:
-            leaky, leaky_solid, leaky_context, chosen_eps = candidate, cand_solid, cand_context, eps
+        leaky = _leaky_kernel(sharp, eps)
+        leaky_solid, leaky_context = evaluate(leaky)
+        if all(r.holds for r in leaky_solid) and not leaky_context.holds:
             break
-    if leaky is None:
+    else:
         raise InvalidQuery("no leaky mechanism found in the search grid")
 
     graph = instantiate_regime(augment(base), {"T": 1})
@@ -1015,6 +968,6 @@ def frontdoor_demo() -> dict:
             "solid": leaky_solid,
             "context_specific": leaky_context,
             "kernel": leaky,
-            "mix_weight": chosen_eps,
+            "mix_weight": eps,
         },
     }

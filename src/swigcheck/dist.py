@@ -69,17 +69,15 @@ def parse_prob(value) -> Fraction:
     """Exact probability from ``"num/den"`` strings, decimals, or numbers."""
     if isinstance(value, Fraction):
         p = value
-    elif isinstance(value, int):
+    elif isinstance(value, int) and not isinstance(value, bool):
         p = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            p = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidDocument(f"bad probability literal {value!r}") from exc
-    elif isinstance(value, float):
+    elif isinstance(value, (str, float)):
         # floats are accepted but converted through their decimal rendering so
         # that "0.1" means one tenth, not the nearest binary double
-        p = Fraction(repr(value))
+        try:
+            p = Fraction(value if isinstance(value, str) else repr(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidDocument(f"bad probability literal {value!r}") from exc
     else:
         raise InvalidDocument(f"bad probability value {value!r}")
     if p < 0:
@@ -188,9 +186,6 @@ class FiniteDistribution:
             return NotImplemented
         return self.variables == other.variables and self._mass == other._mass
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self._mass.items())))
-
     def __repr__(self):
         return f"FiniteDistribution({self.names}, {len(self._mass)} nonzero cells)"
 
@@ -244,8 +239,6 @@ class FiniteDistribution:
             raise InvalidQuery(f"target and given overlap: {sorted(set(target) & set(given))}")
         if not target:
             raise InvalidQuery("target set is empty")
-        for n in list(target) + list(given):
-            self.index(n)
         t_pos = [self.index(n) for n in target]
         g_pos = [self.index(n) for n in given]
         t_vars = tuple(self.variables[i] for i in t_pos)
@@ -292,10 +285,15 @@ class FiniteDistribution:
         if not isinstance(variables, Mapping) or not variables:
             raise InvalidDocument("'variables' must be a non-empty object")
         var_list = [(n, document_int(k, f"cardinality of {n!r}")) for n, k in variables.items()]
+        entries = document.get("entries", [])
+        if not isinstance(entries, (list, tuple)):
+            raise InvalidDocument(f"'entries' must be a list, got {entries!r}")
         mass: dict[tuple, Fraction] = {}
-        for entry in document.get("entries", []):
+        for entry in entries:
             if not isinstance(entry, Mapping) or set(entry) != {"cell", "p"}:
                 raise InvalidDocument(f"bad entry: {entry!r}")
+            if not isinstance(entry["cell"], (list, tuple)):
+                raise InvalidDocument(f"cell must be a list of state indices, got {entry['cell']!r}")
             cell = tuple(document_int(s, "state index") for s in entry["cell"])
             if cell in mass:
                 raise InvalidDocument(f"duplicate cell {list(cell)}")
@@ -360,13 +358,6 @@ class DependenceReport:
     holds: bool
     witness: tuple | None = None
     skipped: int = 0
-
-    def to_json(self) -> dict:
-        out = {"holds": self.holds, "skipped": self.skipped}
-        if self.witness is not None:
-            a, b = self.witness
-            out["witness"] = [dict(a), dict(b)]
-        return out
 
 
 def depends_only_on(

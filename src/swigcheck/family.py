@@ -44,6 +44,7 @@ from .errors import (
 )
 from .graph import Dag, parse_dag, serialize_dag
 from .reporting import CheckReport
+from .swig import markov_statement
 
 InterventionKey = tuple[tuple[str, int], ...]
 
@@ -54,7 +55,8 @@ def intervention_key(order: Sequence[str], intervention: Mapping[str, int]) -> I
     for v in intervention:
         if v not in rank:
             raise UnknownVertex(v)
-    return tuple(sorted(((str(v), int(s)) for v, s in intervention.items()), key=lambda kv: rank[kv[0]]))
+    pairs = ((v, document_int(s, f"state index of {v!r}")) for v, s in intervention.items())
+    return tuple(sorted(pairs, key=lambda kv: rank[kv[0]]))
 
 
 class CounterfactualFamily:
@@ -90,31 +92,6 @@ class CounterfactualFamily:
             raise IncompleteFamily(dict(key))
         return self.members[key]
 
-    def has_member(self, intervention: Mapping[str, int]) -> bool:
-        return intervention_key(self.dag.order, intervention) in self.members
-
-    def full_interventions(self) -> Iterable[dict[str, int]]:
-        """Every assignment to the whole target set."""
-        A = self.dag.targets
-        for values in product_cells([self.cards[t] for t in A]):
-            yield dict(zip(A, values))
-
-    def sub_interventions(self) -> Iterable[dict[str, int]]:
-        """Every assignment to every subset of the targets, smallest first."""
-        A = self.dag.targets
-        for r in range(len(A) + 1):
-            for D in itertools.combinations(A, r):
-                for values in product_cells([self.cards[t] for t in D]):
-                    yield dict(zip(D, values))
-
-    @property
-    def scope(self) -> str:
-        if all(self.has_member(iv) for iv in self.sub_interventions()):
-            return "P_A_subseteq"
-        if all(self.has_member(iv) for iv in self.full_interventions()):
-            return "P_A"
-        return "partial"
-
     def observed(self) -> FiniteDistribution:
         return self.member({})
 
@@ -133,22 +110,10 @@ class CounterfactualFamily:
 
     @classmethod
     def from_json(cls, document, base_dir=None) -> "CounterfactualFamily":
-        if isinstance(document, (str, bytes)):
-            document = json.loads(document)
-        if not isinstance(document, Mapping):
-            raise InvalidDocument("family spec must be a JSON object")
-        unknown = set(document) - {"graph", "cardinalities", "members"}
-        if unknown:
-            raise InvalidDocument(f"unexpected family fields: {sorted(unknown)}")
-        dag = parse_dag(load_graph_field(document.get("graph"), base_dir))
-        members = []
-        for entry in document.get("members", []):
-            if not isinstance(entry, Mapping) or set(entry) != {"intervention", "dist"}:
-                raise InvalidDocument(f"bad member entry: {entry!r}")
-            intervention = {
-                v: document_int(s, f"state index of {v!r}") for v, s in dict(entry["intervention"]).items()
-            }
-            members.append((intervention, FiniteDistribution.from_json(entry["dist"])))
+        document, dag, members = read_spec(
+            document, base_dir, "family", "intervention",
+            lambda dag, iv: {v: document_int(s, f"state index of {v!r}") for v, s in iv.items()},
+        )
         return cls(dag, document.get("cardinalities"), members)
 
 
@@ -180,6 +145,15 @@ def graph_member(dag: Dag, cards: Mapping[str, int], label, dist: FiniteDistribu
     return dist
 
 
+def read_json_file(path):
+    """JSON document stored at ``path``; a file that cannot be read, or is
+    not UTF-8 JSON text, is an invalid document."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidDocument(f"cannot read {path}: {exc}") from None
+
+
 def load_graph_field(value, base_dir=None):
     """Inline graph documents pass through; strings are paths to one."""
     if value is None:
@@ -188,13 +162,40 @@ def load_graph_field(value, base_dir=None):
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        return json.loads(path.read_text(encoding="utf-8"))
+        return read_json_file(path)
     return value
 
 
-def _subsets(items: Sequence[str]):
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def read_spec(document, base_dir, kind: str, key: str, read_key, extra_fields=()):
+    """Body shared by the family and kernel ``from_json`` readers.
+
+    Returns the document object, its graph, and one ``(read_key(dag, key
+    object), law)`` pair per member entry. Each entry must hold exactly
+    ``key`` and ``dist``, with an object under ``key``.
+    """
+    if not isinstance(document, Mapping):
+        raise InvalidDocument(f"{kind} spec must be a JSON object")
+    unknown = set(document) - {"graph", "cardinalities", "members", *extra_fields}
+    if unknown:
+        raise InvalidDocument(f"unexpected {kind} fields: {sorted(unknown)}")
+    dag = parse_dag(load_graph_field(document.get("graph"), base_dir))
+    entries = document.get("members", [])
+    if not isinstance(entries, (list, tuple)):
+        raise InvalidDocument(f"'members' must be a list, got {entries!r}")
+    members = []
+    for entry in entries:
+        if not isinstance(entry, Mapping) or set(entry) != {key, "dist"} or not isinstance(entry[key], Mapping):
+            raise InvalidDocument(f"bad {kind} member entry: {entry!r}")
+        members.append((read_key(dag, entry[key]), FiniteDistribution.from_json(entry["dist"])))
+    return document, dag, members
+
+
+def sub_interventions(targets: Sequence[str], cards: Mapping[str, int]) -> Iterable[dict[str, int]]:
+    """Every assignment to every subset of ``targets``, smallest subset first."""
+    for r in range(len(targets) + 1):
+        for D in itertools.combinations(targets, r):
+            for values in _value_cells(cards, D):
+                yield _as_dict(D, values)
 
 
 def _value_cells(cards: Mapping[str, int], names: Sequence[str]):
@@ -218,6 +219,21 @@ def _check_disjoint_targets(fam: CounterfactualFamily, B, C):
 # -- checkers -------------------------------------------------------------
 
 
+def _consistency_mismatches(fam: CounterfactualFamily, B: Sequence[str], contexts):
+    """``(context, b, cell, lhs, rhs)`` for every context intervention, every
+    assignment ``b`` to ``B`` and every cell where B takes ``b`` naturally yet
+    the member that also sets B to ``b`` (``lhs``) differs from the context
+    member (``rhs``), in that order."""
+    order = fam.dag.order
+    b_pos = [order.index(v) for v in B]
+    for ctx in contexts:
+        base = fam.member(ctx)
+        for b in _value_cells(fam.cards, B):
+            joint = fam.member({**ctx, **_as_dict(B, b)})
+            for cell, lhs, rhs in diagonal_mismatches(joint, base, dict(zip(b_pos, b))):
+                yield ctx, b, cell, lhs, rhs
+
+
 def check_distributional_consistency(fam: CounterfactualFamily) -> CheckReport:
     """Intervening on one target at its natural value changes nothing.
 
@@ -227,28 +243,20 @@ def check_distributional_consistency(fam: CounterfactualFamily) -> CheckReport:
     """
     report = CheckReport("distributional-consistency", True)
     A = fam.dag.targets
-    order = fam.dag.order
     for b_i in A:
-        others = tuple(t for t in A if t != b_i)
-        pos = order.index(b_i)
-        for C in _subsets(others):
-            for c in _value_cells(fam.cards, C):
-                ctx = _as_dict(C, c)
-                base = fam.member(ctx)
-                for b in range(fam.cards[b_i]):
-                    with_b = fam.member({**ctx, b_i: b})
-                    for cell, lhs, rhs in diagonal_mismatches(with_b, base, {pos: b}):
-                        report.holds = False
-                        report.witnesses.append(
-                            {
-                                "target": b_i,
-                                "context": ctx,
-                                "value": b,
-                                "cell": _as_dict(order, cell),
-                                "lhs": lhs,
-                                "rhs": rhs,
-                            }
-                        )
+        contexts = sub_interventions([t for t in A if t != b_i], fam.cards)
+        for ctx, (b,), cell, lhs, rhs in _consistency_mismatches(fam, (b_i,), contexts):
+            report.holds = False
+            report.witnesses.append(
+                {
+                    "target": b_i,
+                    "context": ctx,
+                    "value": b,
+                    "cell": _as_dict(fam.dag.order, cell),
+                    "lhs": lhs,
+                    "rhs": rhs,
+                }
+            )
     return report
 
 
@@ -256,24 +264,18 @@ def check_vector_consistency(fam: CounterfactualFamily, B, C) -> CheckReport:
     """Joint form of consistency for a whole target subset at once."""
     B, C = _check_disjoint_targets(fam, B, C)
     report = CheckReport("vector-consistency", True)
-    order = fam.dag.order
-    b_pos = [order.index(v) for v in B]
-    for c in _value_cells(fam.cards, C):
-        ctx = _as_dict(C, c)
-        base = fam.member(ctx)
-        for b in _value_cells(fam.cards, B):
-            joint = fam.member({**ctx, **_as_dict(B, b)})
-            for cell, lhs, rhs in diagonal_mismatches(joint, base, dict(zip(b_pos, b))):
-                report.holds = False
-                report.witnesses.append(
-                    {
-                        "B": _as_dict(B, b),
-                        "context": ctx,
-                        "cell": _as_dict(order, cell),
-                        "lhs": lhs,
-                        "rhs": rhs,
-                    }
-                )
+    contexts = (_as_dict(C, c) for c in _value_cells(fam.cards, C))
+    for ctx, b, cell, lhs, rhs in _consistency_mismatches(fam, B, contexts):
+        report.holds = False
+        report.witnesses.append(
+            {
+                "B": _as_dict(B, b),
+                "context": ctx,
+                "cell": _as_dict(fam.dag.order, cell),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+        )
     return report
 
 
@@ -290,18 +292,16 @@ def check_conditional_consistency(fam: CounterfactualFamily, B, C, Y, W) -> Chec
     if set(Y) & set(W):
         raise InvalidQuery("Y and W must be disjoint")
     report = CheckReport("conditional-consistency", True)
-    order = fam.dag.order
-    given = tuple(v for v in order if v in set(B) | set(W))
-    b_slots = [i for i, v in enumerate(given) if v in set(B)]
+    given = tuple(v for v in fam.dag.order if v in set(B) | set(W))
     for c in _value_cells(fam.cards, C):
         ctx = _as_dict(C, c)
         base_table = fam.member(ctx).conditional(Y, given)
         for b in _value_cells(fam.cards, B):
             joint_table = fam.member({**ctx, **_as_dict(B, b)}).conditional(Y, given)
-            picked = {v: s for v, s in zip(B, b)}
-            for gcell in product_cells([fam.cards[v] for v in given]):
-                if tuple(gcell[i] for i in b_slots) != tuple(picked[given[i]] for i in b_slots):
-                    continue
+            picked = _as_dict(B, b)
+            # only given-cells where B takes the intervened values
+            axes = [(picked[v],) if v in picked else range(fam.cards[v]) for v in given]
+            for gcell in itertools.product(*axes):
                 r1, r2 = joint_table.row(gcell), base_table.row(gcell)
                 if r1 is None or r2 is None:
                     report.skipped += 1
@@ -343,56 +343,38 @@ def reduce_interventions(fam: CounterfactualFamily, B, C, W, mode: str = "joint"
         if set(Y) & set(W):
             raise InvalidQuery("Y and W must be disjoint")
     report = CheckReport(f"reduce-interventions-{mode}", True)
-    order = fam.dag.order
-    w_ordered = tuple(v for v in order if v in set(W))
+    w_ordered = tuple(v for v in fam.dag.order if v in set(W))
+    # each mode's compared object, and its comparison as (equal, witness
+    # keys, skipped rows)
+    if mode == "joint":
+        law = lambda member: member.marginal(w_ordered)
+        compare = lambda x, y: (x == y, {}, 0)
+    else:
+        law = lambda member: member.conditional(Y, w_ordered)
+
+        def compare(x, y):
+            eq, cell, skipped = rows_equal(x.rows, y.rows)
+            return eq, {} if eq else {"given_cell": _as_dict(w_ordered, cell)}, skipped
+
     for c in _value_cells(fam.cards, C):
         ctx = _as_dict(C, c)
         entry = {"context": ctx, "premise": "holds", "conclusion": None}
-        if mode == "joint":
-            laws = {}
-            for b in _value_cells(fam.cards, B):
-                laws[b] = fam.member({**ctx, **_as_dict(B, b)}).marginal(w_ordered)
-            values = sorted(laws)
-            first = laws[values[0]]
-            varying = next((b for b in values if laws[b] != first), None)
-            if varying is not None:
+        laws = {b: law(fam.member({**ctx, **_as_dict(B, b)})) for b in _value_cells(fam.cards, B)}
+        first, *others = sorted(laws)
+        for b in others:
+            eq, why, skipped = compare(laws[first], laws[b])
+            report.skipped += skipped
+            if not eq:
                 entry["premise"] = "failed"
-                entry["witness"] = {"b": _as_dict(B, values[0]), "b_other": _as_dict(B, varying)}
-            else:
-                base = fam.member(ctx).marginal(w_ordered)
-                if first == base:
-                    entry["conclusion"] = "holds"
-                else:
-                    entry["conclusion"] = "violated"
-                    report.holds = False
+                entry["witness"] = {"b": _as_dict(B, first), "b_other": _as_dict(B, b), **why}
+                break
         else:
-            tables = {}
-            for b in _value_cells(fam.cards, B):
-                tables[b] = fam.member({**ctx, **_as_dict(B, b)}).conditional(Y, w_ordered)
-            values = sorted(tables)
-            premise_ok = True
-            for i in range(1, len(values)):
-                eq, cell, sk = rows_equal(tables[values[0]].rows, tables[values[i]].rows)
-                report.skipped += sk
-                if not eq:
-                    premise_ok = False
-                    entry["premise"] = "failed"
-                    entry["witness"] = {
-                        "b": _as_dict(B, values[0]),
-                        "b_other": _as_dict(B, values[i]),
-                        "given_cell": _as_dict(w_ordered, cell),
-                    }
-                    break
-            if premise_ok:
-                base = fam.member(ctx).conditional(Y, w_ordered)
-                eq, cell, sk = rows_equal(tables[values[0]].rows, base.rows)
-                report.skipped += sk
-                if eq:
-                    entry["conclusion"] = "holds"
-                else:
-                    entry["conclusion"] = "violated"
-                    entry["witness"] = {"given_cell": _as_dict(w_ordered, cell)}
-                    report.holds = False
+            eq, why, skipped = compare(laws[first], law(fam.member(ctx)))
+            report.skipped += skipped
+            entry["conclusion"] = "holds" if eq else "violated"
+            if why:
+                entry["witness"] = why
+            report.holds = report.holds and eq
         report.details.append(entry)
     return report
 
@@ -410,12 +392,36 @@ def markov_rows(dag: Dag, cards: Mapping[str, int], member, v: str, prefix: str)
     context_vars = [f"{prefix}:{t}" for t in A] + [f"w:{u}" for u in pre]
     rows: dict[tuple, object] = {}
     for a in _value_cells(cards, A):
-        table = member(a).conditional((v,), pre)
-        for w in _value_cells(cards, pre):
-            rows[a + w] = table.row(w)
+        rows.update((a + w, row) for w, row in member(a).conditional((v,), pre).rows.items())
     pa = dag.parents(v)
     projection = {f"{prefix}:{t}" for t in pa & set(A)} | {f"w:{u}" for u in pa - set(A)}
     return rows, context_vars, pre, projection
+
+
+def markov_report(check: str, dag: Dag, rows_of, annotate=None, diagnose=None) -> CheckReport:
+    """One local-Markov pass: each vertex's rows must depend only on the
+    projection the graph allows.
+
+    ``rows_of(v)`` returns ``(rows, context_vars, pre, projection)`` as
+    :func:`markov_rows` does. ``annotate(v)`` returns keys added to every
+    vertex detail after its verdict; ``diagnose(v, rows, context_vars, pre)``
+    returns keys added to a failing vertex's detail and witness after its
+    witness pair.
+    """
+    report = CheckReport(check, True)
+    for v in dag.order:
+        rows, context_vars, pre, projection = rows_of(v)
+        dep = depends_only_on(rows, context_vars, projection)
+        report.skipped += dep.skipped
+        detail = {"vertex": v, "holds": dep.holds, **(annotate(v) if annotate else {})}
+        if not dep.holds:
+            report.holds = False
+            pair = [dict(w) for w in dep.witness]
+            why = diagnose(v, rows, context_vars, pre) if diagnose else {}
+            detail.update(witness=pair, **why)
+            report.witnesses.append({"vertex": v, "pair": pair, **why})
+        report.details.append(detail)
+    return report
 
 
 def check_swig_local_markov(fam: CounterfactualFamily, dag: Dag | None = None) -> CheckReport:
@@ -426,27 +432,11 @@ def check_swig_local_markov(fam: CounterfactualFamily, dag: Dag | None = None) -
     of non-intervened parents.
     """
     dag = dag or fam.dag
-    report = CheckReport("swig-local-markov", True)
-    A = set(dag.targets)
     member = lambda a: fam.member(_as_dict(dag.targets, a))
-    for v in dag.order:
-        rows, context_vars, _, projection = markov_rows(dag, fam.cards, member, v, "a")
-        pa = dag.parents(v)
-        dep = depends_only_on(rows, context_vars, projection)
-        report.skipped += dep.skipped
-        detail = {
-            "vertex": v,
-            "holds": dep.holds,
-            "dependence_set": sorted(
-                {t.lower() for t in pa & A} | (pa - A)
-            ),
-        }
-        if not dep.holds:
-            report.holds = False
-            detail["witness"] = [dict(w) for w in dep.witness]
-            report.witnesses.append({"vertex": v, "pair": [dict(w) for w in dep.witness]})
-        report.details.append(detail)
-    return report
+    return markov_report(
+        "swig-local-markov", dag, lambda v: markov_rows(dag, fam.cards, member, v, "a"),
+        annotate=lambda v: {"dependence_set": sorted(markov_statement(dag, v).dependence_set())},
+    )
 
 
 def check_complete_graph_markov(fam: CounterfactualFamily) -> CheckReport:
@@ -456,8 +446,7 @@ def check_complete_graph_markov(fam: CounterfactualFamily) -> CheckReport:
     interventions) and ignorability (no dependence on the natural values of
     intervened predecessors).
     """
-    complete = Dag(fam.dag.vertices, (), fam.dag.targets, fam.dag.order).complete_supergraph()
-    report = check_swig_local_markov(fam, complete)
+    report = check_swig_local_markov(fam, fam.dag.complete_supergraph())
     report.check = "complete-graph-markov"
     return report
 
@@ -511,7 +500,7 @@ def kernel_chain_check(fam: CounterfactualFamily, dag: Dag, i: str, a: Mapping[s
     if i not in set(dag.vertices):
         raise UnknownVertex(i)
     A = dag.targets
-    a = {t: int(a[t]) for t in A}
+    a = {t: document_int(a[t], f"state index of {t!r}") for t in A}
     pre = [u for u in dag.order if u in dag.predecessors(i)]
     pa = [u for u in dag.order if u in dag.parents(i)]
     pa_minus_A = [u for u in pa if u not in set(A)]
@@ -550,20 +539,12 @@ def check_observed_markov(p: FiniteDistribution, dag: Dag) -> CheckReport:
     """Ordered local Markov property of a single law with respect to a DAG."""
     if set(p.names) != set(dag.vertices):
         raise InvalidQuery("law is not over the graph vertices")
-    report = CheckReport("observed-markov", True)
-    for v in dag.order:
+
+    def rows_of(v):
         pre = [u for u in dag.order if u in dag.predecessors(v)]
-        table = p.conditional((v,), pre)
-        rows = {cell: table.row(cell) for cell in product_cells([p.cards[u] for u in pre])}
-        dep = depends_only_on(rows, pre, dag.parents(v))
-        report.skipped += dep.skipped
-        detail = {"vertex": v, "holds": dep.holds}
-        if not dep.holds:
-            report.holds = False
-            detail["witness"] = [dict(w) for w in dep.witness]
-            report.witnesses.append({"vertex": v, "pair": [dict(w) for w in dep.witness]})
-        report.details.append(detail)
-    return report
+        return p.conditional((v,), pre).rows, pre, pre, dag.parents(v)
+
+    return markov_report("observed-markov", dag, rows_of)
 
 
 # -- construction ---------------------------------------------------------
@@ -639,12 +620,7 @@ def build_ffrcistg(dag: Dag, targets, p: FiniteDistribution) -> CounterfactualFa
     p = p.reorder(dag.order)
     cards = p.cards
     cpts = observational_cpts(p, dag)
-    members: dict[tuple, FiniteDistribution] = {}
-    for r in range(len(dag.targets) + 1):
-        for D in itertools.combinations(dag.targets, r):
-            for d in _value_cells(cards, D):
-                iv = _as_dict(D, d)
-                members[intervention_key(dag.order, iv)] = gformula_member(dag, cards, cpts, iv)
+    members = [(iv, gformula_member(dag, cards, cpts, iv)) for iv in sub_interventions(dag.targets, cards)]
     fam = CounterfactualFamily(dag, cards, members)
     object.__setattr__(fam, "observed_markov", check_observed_markov(p, dag))
     return fam

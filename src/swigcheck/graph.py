@@ -13,9 +13,8 @@ import heapq
 import json
 from typing import Iterable, Mapping
 
+from .dist import document_int
 from .errors import CyclicGraph, InvalidDocument, UnknownVertex
-
-RELATIVE_KINDS = ("parents", "predecessors", "ancestors", "children")
 
 
 def _vertex_name(v) -> str:
@@ -171,13 +170,6 @@ def _find_cycle(remaining, parents):
         path.append(v)
 
 
-def relatives(dag: Dag, v: str, kind: str) -> frozenset[str]:
-    """Named vertex neighborhoods: parents, predecessors, ancestors, children."""
-    if kind not in RELATIVE_KINDS:
-        raise ValueError(f"kind must be one of {RELATIVE_KINDS}, got {kind!r}")
-    return getattr(dag, kind)(v)
-
-
 def parse_dag(document) -> Dag:
     """Build a validated :class:`Dag` from a graph spec document.
 
@@ -222,7 +214,7 @@ def serialize_dag(dag: Dag) -> dict:
     }
 
 
-def parse_assignment(text: str, *, allowed=None) -> dict[str, int]:
+def parse_assignment(text: str) -> dict[str, int]:
     """Parse ``"X0=0,X1=1"`` into a name-to-state mapping."""
     out: dict[str, int] = {}
     text = text.strip()
@@ -239,8 +231,6 @@ def parse_assignment(text: str, *, allowed=None) -> dict[str, int]:
             raise InvalidDocument(f"bad state index in {chunk!r}") from exc
         if name in out:
             raise InvalidDocument(f"duplicate assignment for {name!r}")
-        if allowed is not None and name not in allowed:
-            raise UnknownVertex(name)
         out[name] = state
     return out
 
@@ -250,7 +240,7 @@ def validate_assignment(assignment: Mapping[str, int], cardinalities: Mapping[st
     for name, state in assignment.items():
         if name not in cardinalities:
             raise UnknownVertex(name)
-        if not 0 <= int(state) < int(cardinalities[name]):
+        if not 0 <= document_int(state, f"state of {name!r}") < cardinalities[name]:
             raise InvalidDocument(
                 f"state {state} out of range for {name!r} (cardinality {cardinalities[name]})"
             )

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .dist import document_int
 from .errors import InvalidDocument, InvalidQuery, NotATarget, UnknownNode
 from .graph import Dag, parse_dag, serialize_dag
 
@@ -113,9 +114,6 @@ class SplitGraph:
     def has_node(self, node: Node) -> bool:
         return node in self._parents
 
-    def fixed_nodes(self) -> tuple[Node, ...]:
-        return tuple(n for n in self.nodes if n.fixed)
-
     def d_separated(self, x: Iterable[Node], y: Iterable[Node], z: Iterable[Node] = ()) -> SeparationResult:
         """d-separation with fixed nodes treated as always blocked interiors.
 
@@ -197,16 +195,11 @@ class Swig:
     def __setattr__(self, name, value):
         raise AttributeError("Swig instances are immutable")
 
-    @property
-    def fixed_nodes(self) -> tuple[tuple[str, int], ...]:
-        return self.assignment
-
     def d_separated(self, x, y, z=()) -> SeparationResult:
         return self.graph.d_separated(x, y, z)
 
     def display_label(self, v: str) -> str:
-        args = ",".join(symbol(t) for t, _ in self.labels[v])
-        return f"{v}({args})" if args else v
+        return _ulabel(v, [t for t, _ in self.labels[v]])
 
 
 def symbol(vertex: str) -> str:
@@ -233,7 +226,7 @@ def split(dag: Dag, assignment: Mapping[str, int], scheme: str = "uniform") -> S
         raise NotATarget(
             f"assignment must cover exactly the targets; extra={sorted(extra)}, missing={sorted(missing)}"
         )
-    assign = tuple((t, int(assignment[t])) for t in dag.targets)
+    assign = tuple((t, document_int(assignment[t], f"state of {t!r}")) for t in dag.targets)
 
     nodes = [Node(v) for v in dag.order]
     nodes += [Node(t, fixed=True) for t in dag.targets]
@@ -331,13 +324,17 @@ def _ulabel(v: str, targets: Sequence[str]) -> str:
     return f"{v}({args})" if args else v
 
 
+def independence_text(v: str, right: Sequence[str], given: Sequence[str]) -> str:
+    """``"v _||_ right | given"``; an empty right side reads ``(nothing)``."""
+    text = f"{v} _||_ {', '.join(right) if right else '(nothing)'}"
+    return text + f" | {', '.join(given)}" if given else text
+
+
 def _render_dsep(st: MarkovStatement, targets: Sequence[str]) -> dict:
     label = lambda v: _ulabel(v, targets)
     right = [label(v) for v in st.other_random] + [symbol(t) for t in st.other_fixed]
     given = [label(v) for v in st.given_random] + [symbol(t) for t in st.given_fixed]
-    text = f"{label(st.vertex)} _||_ {', '.join(right) if right else '(nothing)'}"
-    if given:
-        text += f" | {', '.join(given)}"
+    text = independence_text(label(st.vertex), right, given)
     return {
         "vertex": st.vertex,
         "other_random": list(st.other_random),

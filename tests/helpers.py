@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from swigcheck.decision import bernoulli_pair  # noqa: F401  (re-exported for the tests)
 from swigcheck.dist import FiniteDistribution, product_cells
 from swigcheck.family import CounterfactualFamily
 from swigcheck.graph import Dag
@@ -56,15 +57,6 @@ def chain_joint() -> FiniteDistribution:
                 p *= pC[b] if c == 1 else 1 - pC[b]
                 mass[(a, b, c)] = p
     return FiniteDistribution([("A", 2), ("B", 2), ("C", 2)], mass)
-
-
-def bernoulli_pair(px: Fraction, py: Fraction, names=("X", "Y")) -> FiniteDistribution:
-    mass = {
-        (x, y): (px if x == 1 else 1 - px) * (py if y == 1 else 1 - py)
-        for x in (0, 1)
-        for y in (0, 1)
-    }
-    return FiniteDistribution([(names[0], 2), (names[1], 2)], mass)
 
 
 # -- random models ---------------------------------------------------------
@@ -208,7 +200,7 @@ def split_dsep_via_conditioning(sw, x, y, z) -> bool:
     plain = Dag(nodes, edges)
     endpoints = set(x) | set(y)
     zz = {n.display() for n in z if not n.fixed}
-    zz |= {n.display() for n in sw.graph.fixed_nodes() if n not in endpoints}
+    zz |= {n.display() for n in sw.graph.nodes if n.fixed and n not in endpoints}
     return moral_dsep(plain, {n.display() for n in x}, {n.display() for n in y}, zz)
 
 

@@ -1,10 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import swigcheck
 from helpers import chain_joint, random_positive_joint, two_stage_dag
+from swigcheck import family
 from swigcheck.cli import main
 from swigcheck.dist import FiniteDistribution
 from swigcheck.family import build_ffrcistg
@@ -169,14 +175,14 @@ class TestCheckCommand:
 
     def test_mutated_family_violates_with_witness(self, capsys, family_file, tmp_path):
         path, fam = family_file
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         entry = doc["members"][1]["dist"]["entries"][0]
         entry["p"] = str(F(entry["p"]) + F(1, 64))
         mutated = tmp_path / "mutated.json"
         mutated.write_text(json.dumps(doc))
         code, out = run(capsys, "check", "--family", str(mutated), "--mode", "all")
         assert code == 2  # the member no longer sums to one: rejected at parse
-        relaxed = json.loads(open(path).read())
+        relaxed = json.loads(Path(path).read_text())
         e0, e1 = relaxed["members"][1]["dist"]["entries"][:2]
         delta = F(1, 64)
         e0["p"] = str(F(e0["p"]) - delta)
@@ -189,7 +195,7 @@ class TestCheckCommand:
 
     def test_missing_member_exits_2_naming_it(self, capsys, family_file, tmp_path):
         path, _ = family_file
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         removed = doc["members"].pop(1)
         shrunk = tmp_path / "incomplete.json"
         shrunk.write_text(json.dumps(doc))
@@ -244,6 +250,67 @@ class TestCheckCommand:
         spec.write_text(json.dumps(doc))
         code, out = run(capsys, "check", "--family", str(spec), "--mode", "consistency")
         assert code == 0
+
+
+class TestFailureModes:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["members"][1].update(intervention=[1, 2]), "bad family member entry"),
+            (lambda d: d["members"][0]["dist"]["entries"][0].update(cell=5), "cell must be a list"),
+        ],
+        ids=["intervention-list", "cell-int"],
+    )
+    def test_malformed_shapes_exit_2(self, capsys, tmp_path, chain, chain_law, mutate, message):
+        doc = build_ffrcistg(chain, chain.targets, chain_law).to_json()
+        mutate(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "check", "--family", str(path))
+        assert code == 2
+        line = json.loads(out)
+        assert line["error"] == "InvalidDocument" and message in line["message"]
+
+    def test_unreadable_input_is_an_invalid_document(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff{")
+        for argv in (["check", "--family", str(path)], ["check", "--kernel", str(tmp_path / "absent.json")]):
+            code, out = run(capsys, *argv)
+            assert code == 2
+            assert json.loads(out)["error"] == "InvalidDocument"
+
+    def test_internal_error_exits_3_with_traceback(self, capsys, monkeypatch, tmp_path, chain, chain_law):
+        def broken(fam):
+            raise KeyError("not an input error")
+
+        monkeypatch.setattr(family, "check_distributional_consistency", broken)
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(build_ffrcistg(chain, chain.targets, chain_law).to_json()))
+        code = main(["check", "--family", str(path), "--mode", "consistency"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "KeyError: 'not an input error'" in captured.err
+
+    @pytest.mark.parametrize("demo", ["move-to-idle", "frontdoor"])
+    def test_closed_stdout_exits_quietly(self, demo):
+        # the read end is closed before the command starts, so its first
+        # write meets a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(swigcheck.__file__).resolve().parents[1])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "swigcheck.cli", "demo", demo],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 141
 
 
 class TestGformulaCommand:

@@ -285,6 +285,17 @@ class TestNaturalValueRegime:
         with pytest.raises(IncompleteKernel):
             natural_value_regime(kernel, "B")
 
+    def test_non_integer_context_value_rejected(self, two_stage_kernel):
+        with pytest.raises(InvalidDocument, match="state index must be an integer"):
+            natural_value_regime(two_stage_kernel, "X0", ["X1"], [1.0])
+
+    @pytest.mark.parametrize("value", [0.5, True])
+    def test_regime_space_rejects_non_integer_values(self, value):
+        dag = Dag(["B"], [], targets=["B"])
+        b = FiniteDistribution([("B", 2)], {(0,): HALF, (1,): HALF})
+        with pytest.raises(InvalidDocument, match="regime value must be an integer"):
+            RegimeKernel.for_targets(dag, {"B": 2}, {(None,): b}, [(None,), (value,)])
+
     def test_deterministic_natural_value_uses_one_member_per_cell(self):
         # idle law is a point mass, so only one interventional diagonal is
         # ever consulted; the other member may put all its mass off-diagonal

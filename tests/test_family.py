@@ -294,6 +294,15 @@ class TestBuilder:
         with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
             CounterfactualFamily.from_json(doc)
 
+    @pytest.mark.parametrize("value", [0.7, True])
+    def test_member_lookup_rejects_non_integer_states(self, chain_family, value):
+        with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
+            chain_family.member({"A": value})
+
+    def test_kernel_chain_rejects_non_integer_states(self, chain_family, chain):
+        with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
+            kernel_chain_check(chain_family, chain, "C", {"A": 0.5, "B": 1})
+
 
 def random_cpt_model(rng, cards, zero_rate=0.0):
     """DAG over 4-5 vertices with 2-3 targets and seeded CPTs (parents in

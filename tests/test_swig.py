@@ -11,7 +11,7 @@ from helpers import (
     split_dsep_via_conditioning,
     two_stage_dag,
 )
-from swigcheck.errors import InvalidQuery, NotATarget, UnknownNode
+from swigcheck.errors import InvalidDocument, InvalidQuery, NotATarget, UnknownNode
 from swigcheck.graph import Dag
 from swigcheck.swig import (
     Node,
@@ -44,9 +44,13 @@ class TestSplit:
     def test_no_targets_gives_isomorphic_graph(self):
         dag = Dag(["A", "B"], [("A", "B")])
         sw = split(dag, {}, "temporal")
-        assert sw.fixed_nodes == ()
+        assert sw.assignment == ()
         assert sw.graph.edges == frozenset({(Node("A"), Node("B"))})
         assert labels_of(sw) == {"A": (), "B": ()}
+
+    def test_non_integer_assignment_rejected(self, chain):
+        with pytest.raises(InvalidDocument, match="state of 'A' must be an integer"):
+            split(chain, {"A": 1.9, "B": 0}, "uniform")
 
     def test_assignment_must_cover_targets_exactly(self, chain):
         with pytest.raises(NotATarget):
