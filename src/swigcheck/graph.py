@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .dist import document_int
 from .errors import CyclicGraph, InvalidDocument, UnknownVertex
@@ -188,11 +188,12 @@ def parse_dag(document) -> Dag:
         raise InvalidDocument(f"unexpected graph spec fields: {sorted(unknown)}")
     if "vertices" not in document:
         raise InvalidDocument("graph spec lacks 'vertices'")
-    edges = document.get("edges", [])
-    if not isinstance(edges, Iterable) or isinstance(edges, (str, bytes)):
-        raise InvalidDocument("'edges' must be a list of [tail, head] pairs")
+    for field in ("vertices", "edges", "targets", "order"):
+        value = document.get(field, [])
+        if not isinstance(value, (list, tuple)) and not (field == "order" and value is None):
+            raise InvalidDocument(f"'{field}' must be a list, got {value!r}")
     norm_edges = []
-    for pair in edges:
+    for pair in document.get("edges", []):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidDocument(f"bad edge entry: {pair!r}")
         norm_edges.append((pair[0], pair[1]))

@@ -74,6 +74,14 @@ def test_three_cycle_is_reported_as_a_walk():
     assert len(exc.value.cycle) >= 3
 
 
+@pytest.mark.parametrize(
+    "field, value", [("vertices", 5), ("vertices", "AB"), ("edges", {"A": "B"}), ("targets", 1.5), ("order", "BA")]
+)
+def test_parse_dag_rejects_fields_that_are_not_lists(field, value):
+    with pytest.raises(InvalidDocument, match=f"'{field}' must be a list"):
+        parse_dag({"vertices": ["A", "B"], "edges": [["A", "B"]], field: value})
+
+
 def test_serialize_parse_roundtrip(two_stage):
     assert parse_dag(serialize_dag(two_stage)) == two_stage
 

@@ -2,8 +2,9 @@
 
 Family, kernel and law documents get one field deleted, or set to ``null``,
 ``true``, ``1.5``, ``"x"``, ``[]``, ``{}`` or ``-1``: the whole document, its
-top-level fields, a member entry, the member's key and the values in it, and
-the member law's variables, entries, cells, state indices and ``p``. Each
+top-level and graph fields, an edge, a member entry, the member's key and
+the values in it, and the member law's variables, entries, cells, state
+indices and ``p``. Each
 mutated document runs through the CLI (``check --mode all`` for families and
 kernels, ``gformula`` for laws). The exit code must be 0, 1 or 2, and an error
 line must name a ``SwigcheckError`` subclass, never a raw Python exception.
@@ -50,9 +51,11 @@ def law_sites(prefix: list, law: dict, rng: random.Random) -> list[list]:
 
 
 def spec_sites(doc: dict, key: str, rng: random.Random) -> list[list]:
-    """Paths into a family or kernel document: every top-level field, one
-    cardinality, and one member whose key is not empty, down to its law."""
+    """Paths into a family or kernel document: every top-level field and
+    graph field, one edge, one cardinality, and one member whose key is not
+    empty, down to its law."""
     sites = [[], *([field] for field in doc), ["cardinalities", rng.choice(sorted(doc["cardinalities"]))]]
+    sites += [["graph", field] for field in doc["graph"]] + [["graph", "edges", rng.randrange(len(doc["graph"]["edges"]))]]
     keyed = [i for i, m in enumerate(doc["members"]) if m[key]]
     m = rng.choice(keyed)
     member = ["members", m]
