@@ -70,11 +70,12 @@ def mutated(doc, path: list, value):
     parent = out
     for step in path[:-1]:
         parent = parent[step]
-    if value is DELETE:
-        # a field the document lacks (a kernel's roles) stays absent
-        parent.pop(path[-1], None) if isinstance(parent, dict) else parent.pop(path[-1])
-    else:
+    if value is not DELETE:
         parent[path[-1]] = value
+    elif isinstance(parent, dict):
+        parent.pop(path[-1], None)  # a field the document lacks (a kernel's roles) stays absent
+    else:
+        del parent[path[-1]]
     return out
 
 
