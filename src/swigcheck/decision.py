@@ -49,7 +49,7 @@ from .family import (
 )
 from .graph import Dag, serialize_dag
 from .reporting import CheckReport
-from .swig import Node, SplitGraph, independence_text, markov_statement
+from .swig import Node, SplitGraph, independence_text, markov_statement, require_targets, split_graph
 
 IDLE = None
 
@@ -87,40 +87,24 @@ class AugmentedDiagram:
         raise AttributeError("AugmentedDiagram instances are immutable")
 
 
-def augment(dag: Dag, targets=None) -> AugmentedDiagram:
+def augment(dag: Dag) -> AugmentedDiagram:
     """Attach one regime indicator per target, wired to the target's children."""
-    if targets is not None and tuple(targets) != dag.targets:
-        if set(targets) - set(dag.vertices):
-            raise UnknownVertex(sorted(set(targets) - set(dag.vertices))[0])
-        dag = Dag(dag.vertices, sorted(dag.edges), targets, dag.order)
     return AugmentedDiagram(dag)
 
 
 def instantiate_regime(diag: AugmentedDiagram, regime: Mapping[str, int | None]) -> SplitGraph:
     """Graph under one regime assignment, ready for d-separation queries.
 
-    Non-idle indicators keep their solid edges and behave as fixed nodes;
-    their target's contextual out-edges are deleted. Idle indicators are
-    disconnected and the contextual edges stay as ordinary solid edges.
+    This is the split graph at the non-idle targets, with each fixed node
+    named by its indicator: a non-idle indicator takes over its target's
+    out-edges, and an idle one (``None`` or absent) stays disconnected.
     """
     dag = diag.dag
-    regime = {t: regime.get(t, IDLE) for t in dag.targets}
-    extra = set(regime) - set(dag.targets)
-    if extra:
-        raise UnknownVertex(sorted(extra)[0])
-    nodes = [Node(v) for v in dag.order]
-    nodes += [Node(indicator_name(t), fixed=True) for t in dag.targets]
-    edges: list[tuple[Node, Node]] = []
-    dropped = {e for t in dag.targets if regime[t] is not IDLE for e in diag.contextual_edges if e[0] == t}
-    for tail, head in sorted(dag.edges):
-        if (tail, head) in dropped:
-            continue
-        edges.append((Node(tail), Node(head)))
-    for t in dag.targets:
-        if regime[t] is not IDLE:
-            for child in sorted(dag.children(t)):
-                edges.append((Node(indicator_name(t), fixed=True), Node(child)))
-    return SplitGraph(nodes, edges)
+    require_targets(dag, set(regime) | set(dag.targets))
+    for t, value in regime.items():
+        if value is not IDLE:
+            document_int(value, f"state of {t!r}")
+    return split_graph(dag, [t for t in dag.targets if regime.get(t) is not IDLE], indicator_name)
 
 
 def augmented_markov_statements(dag: Dag) -> list[dict]:
@@ -402,17 +386,11 @@ def natural_value_regime(k: RegimeKernel, i: str, C: Sequence[str] = (), c: Sequ
             if cell[pos] == b:
                 mass[cell] = p
     stitched = FiniteDistribution._raw(variables, mass)
-    idle = k.member(tuple(base))
-    report = CheckReport("natural-value-regime", stitched == idle)
-    if not report.holds:
-        cell = next(cl for cl in idle.cells() if stitched.p(cl) != idle.p(cl))
-        report.witnesses.append(
-            {
-                "cell": _as_dict(k.dag.order, cell),
-                "stitched": stitched.p(cell),
-                "idle": idle.p(cell),
-            }
-        )
+    mismatch = next(diagonal_mismatches(stitched, k.member(tuple(base)), {}), None)
+    report = CheckReport("natural-value-regime", mismatch is None)
+    if mismatch is not None:
+        cell, lhs, rhs = mismatch
+        report.witnesses.append({"cell": _as_dict(k.dag.order, cell), "stitched": lhs, "idle": rhs})
     return stitched, report
 
 

@@ -284,7 +284,6 @@ class FiniteDistribution:
         variables = document.get("variables")
         if not isinstance(variables, Mapping) or not variables:
             raise InvalidDocument("'variables' must be a non-empty object")
-        var_list = [(n, document_int(k, f"cardinality of {n!r}")) for n, k in variables.items()]
         entries = document.get("entries", [])
         if not isinstance(entries, (list, tuple)):
             raise InvalidDocument(f"'entries' must be a list, got {entries!r}")
@@ -298,7 +297,7 @@ class FiniteDistribution:
             if cell in mass:
                 raise InvalidDocument(f"duplicate cell {list(cell)}")
             mass[cell] = parse_prob(entry["p"])
-        return cls(var_list, mass)
+        return cls(variables.items(), mass)
 
 
 class ConditionalTable:

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .graph import Dag, parse_dag, serialize_dag
 from .reporting import CheckReport
-from .swig import markov_statement
+from .swig import markov_statement, require_targets
 
 InterventionKey = tuple[tuple[str, int], ...]
 
@@ -110,10 +110,7 @@ class CounterfactualFamily:
 
     @classmethod
     def from_json(cls, document, base_dir=None) -> "CounterfactualFamily":
-        document, dag, members = read_spec(
-            document, base_dir, "family", "intervention",
-            lambda dag, iv: {v: document_int(s, f"state index of {v!r}") for v, s in iv.items()},
-        )
+        document, dag, members = read_spec(document, base_dir, "family", "intervention", lambda dag, iv: iv)
         return cls(dag, document.get("cardinalities"), members)
 
 
@@ -466,17 +463,11 @@ def check_no_future_effect(fam: CounterfactualFamily, k: str) -> CheckReport:
         lhs = fam.member(full).marginal(prefix)
         sub = {t: full[t] for t in early}
         rhs = fam.member(sub).marginal(prefix)
-        if lhs != rhs:
-            cell = next(c for c in lhs.cells() if lhs.p(c) != rhs.p(c))
+        mismatch = next(diagonal_mismatches(lhs, rhs, {}), None)
+        if mismatch is not None:
+            cell, p, q = mismatch
             report.holds = False
-            report.witnesses.append(
-                {
-                    "a": full,
-                    "cell": _as_dict(prefix, cell),
-                    "lhs": lhs.p(cell),
-                    "rhs": rhs.p(cell),
-                }
-            )
+            report.witnesses.append({"a": full, "cell": _as_dict(prefix, cell), "lhs": p, "rhs": q})
             break
     return report
 
@@ -500,6 +491,7 @@ def kernel_chain_check(fam: CounterfactualFamily, dag: Dag, i: str, a: Mapping[s
     if i not in set(dag.vertices):
         raise UnknownVertex(i)
     A = dag.targets
+    require_targets(dag, a)
     a = {t: document_int(a[t], f"state index of {t!r}") for t in A}
     pre = [u for u in dag.order if u in dag.predecessors(i)]
     pa = [u for u in dag.order if u in dag.parents(i)]

@@ -10,7 +10,6 @@ derived listings are reproducible.
 from __future__ import annotations
 
 import heapq
-import json
 from typing import Mapping
 
 from .dist import document_int
@@ -173,14 +172,9 @@ def _find_cycle(remaining, parents):
 def parse_dag(document) -> Dag:
     """Build a validated :class:`Dag` from a graph spec document.
 
-    The document is a mapping (or JSON text) with fields ``vertices``,
+    The document is a parsed JSON object with fields ``vertices``,
     ``edges``, ``targets`` and optionally ``order``.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise InvalidDocument(f"not valid JSON: {exc}") from exc
     if not isinstance(document, Mapping):
         raise InvalidDocument("graph spec must be a JSON object")
     unknown = set(document) - {"vertices", "edges", "targets", "order"}

@@ -13,7 +13,6 @@ the labeling scheme only changes the display label.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -219,22 +218,9 @@ def split(dag: Dag, assignment: Mapping[str, int], scheme: str = "uniform") -> S
     """
     if scheme not in SCHEMES:
         raise InvalidDocument(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    targets = set(dag.targets)
-    extra = set(assignment) - targets
-    missing = targets - set(assignment)
-    if extra or missing:
-        raise NotATarget(
-            f"assignment must cover exactly the targets; extra={sorted(extra)}, missing={sorted(missing)}"
-        )
+    require_targets(dag, assignment)
     assign = tuple((t, document_int(assignment[t], f"state of {t!r}")) for t in dag.targets)
-
-    nodes = [Node(v) for v in dag.order]
-    nodes += [Node(t, fixed=True) for t in dag.targets]
-    edges = []
-    for tail, head in sorted(dag.edges):
-        tail_node = Node(tail, fixed=True) if tail in targets else Node(tail)
-        edges.append((tail_node, Node(head)))
-    graph = SplitGraph(nodes, edges)
+    graph = split_graph(dag, dag.targets, lambda t: t)
 
     labels: dict[str, tuple[tuple[str, int], ...]] = {}
     if scheme == "ancestral":
@@ -247,6 +233,26 @@ def split(dag: Dag, assignment: Mapping[str, int], scheme: str = "uniform") -> S
         else:
             labels[v] = tuple((t, a) for t, a in assign if v in reach[t])
     return Swig(dag, scheme, assign, graph, labels)
+
+
+def require_targets(dag: Dag, names: Iterable[str]) -> None:
+    """Raise :class:`NotATarget` unless ``names`` are exactly the targets."""
+    extra = set(names) - set(dag.targets)
+    missing = set(dag.targets) - set(names)
+    if extra or missing:
+        raise NotATarget(
+            f"assignment must cover exactly the targets; extra={sorted(extra)}, missing={sorted(missing)}"
+        )
+
+
+def split_graph(dag: Dag, split_at: Iterable[str], fixed_name) -> SplitGraph:
+    """One random node per vertex and one fixed node ``fixed_name(t)`` per
+    target; the out-edges of each target in ``split_at`` leave from its
+    fixed node, and the other fixed nodes stay isolated."""
+    split_at = set(split_at)
+    nodes = [Node(v) for v in dag.order] + [Node(fixed_name(t), fixed=True) for t in dag.targets]
+    tail = lambda v: Node(fixed_name(v), fixed=True) if v in split_at else Node(v)
+    return SplitGraph(nodes, [(tail(u), Node(v)) for u, v in sorted(dag.edges)])
 
 
 def _fixed_descendants(graph: SplitGraph, start: Node) -> set[str]:
@@ -400,11 +406,9 @@ def swig_to_json(swig: Swig) -> dict:
 
 def swig_from_json(document) -> Swig:
     """Rebuild a split graph from its dump, cross-checking the node lists."""
-    if isinstance(document, (str, bytes)):
-        document = json.loads(document)
     if not isinstance(document, Mapping):
         raise InvalidDocument("swig dump must be a JSON object")
-    dag = parse_dag(document["graph"])
+    dag = parse_dag(document.get("graph"))
     rebuilt = split(dag, document.get("assignment", {}), document.get("scheme", "uniform"))
     if swig_to_json(rebuilt) != dict(document):
         raise InvalidDocument("swig dump is inconsistent with its own graph spec")

@@ -125,6 +125,16 @@ class TestDsepCommand:
         assert code == 0
         assert json.loads(out.splitlines()[0])["verdict"] == "separated"
 
+    def test_regime_naming_non_targets_exits_2(self, capsys, tmp_path, frontdoor):
+        path = tmp_path / "frontdoor.json"
+        path.write_text(json.dumps(serialize_dag(frontdoor)))
+        code, out = run(
+            capsys, "dsep", "--graph", str(path), "--side", "augmented",
+            "--assign", "Q=1,M=0", "--x", "Y", "--y", "fixed:F_T", "--z", "M",
+        )
+        assert code == 2
+        assert json.loads(out.splitlines()[0])["error"] == "NotATarget"
+
 
 class TestMarkovCommand:
     def test_swig_table_rows(self, capsys, two_stage_file):

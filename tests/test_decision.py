@@ -40,6 +40,7 @@ from swigcheck.errors import (
     InvalidDocument,
     NoIdleRegime,
     NotACounterexample,
+    NotATarget,
     NotConvertible,
 )
 from swigcheck.family import (
@@ -96,6 +97,24 @@ class TestInstantiate:
             f = Node(indicator_name(t), fixed=True)
             assert graph.has_node(f)
             assert all(f not in e for e in graph.edges)
+
+    @pytest.mark.parametrize("regime", [{"Y": 1}, {"Q": 1}, {"X0": 0, "Z": None}])
+    def test_names_outside_the_targets_are_rejected(self, two_stage, regime):
+        with pytest.raises(NotATarget):
+            instantiate_regime(augment(two_stage), regime)
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_non_idle_values_must_be_integers(self, two_stage, value):
+        with pytest.raises(InvalidDocument):
+            instantiate_regime(augment(two_stage), {"X0": value, "X1": 0})
+
+    def test_none_and_missing_targets_are_idle(self, two_stage):
+        diag = augment(two_stage)
+        explicit = instantiate_regime(diag, {"X0": 1, "X1": None})
+        assert explicit.edges == instantiate_regime(diag, {"X0": 1}).edges
+        assert instantiate_regime(diag, {"X0": None, "X1": None}).edges == instantiate_regime(diag, {}).edges
+        fixed_tails = {a.name for a, _ in explicit.edges if a.fixed}
+        assert fixed_tails == {"F_X0"}
 
     def test_two_stage_statements_hold_as_separations(self, two_stage):
         graph = instantiate_regime(augment(two_stage), {"X0": 0, "X1": 1})
