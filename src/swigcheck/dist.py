@@ -24,6 +24,9 @@ from .errors import CellBudgetExceeded, InvalidDocument, InvalidQuery, UnknownVa
 
 MAX_CELLS_ENV = "SWIGCHECK_MAX_CELLS"
 DEFAULT_MAX_CELLS = 1 << 20
+# Python's default limit on the digits of an int converted to or from text;
+# a parsed mass with more digits could not be printed in a message or a report
+MAX_LITERAL_DIGITS = 4300
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -74,8 +77,15 @@ def parse_prob(value) -> Fraction:
     elif isinstance(value, (str, float)):
         # floats are accepted but converted through their decimal rendering so
         # that "0.1" means one tenth, not the nearest binary double
+        text = value if isinstance(value, str) else repr(value)
         try:
-            p = Fraction(value if isinstance(value, str) else repr(value))
+            if "/" not in text:
+                # a decimal's digits plus its exponent bound the digits of its
+                # numerator and denominator
+                mantissa, _, exponent = text.lower().partition("e")
+                if len(mantissa) + abs(int(exponent or 0)) > MAX_LITERAL_DIGITS:
+                    raise InvalidDocument(f"probability literal {value!r} needs over {MAX_LITERAL_DIGITS} digits")
+            p = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidDocument(f"bad probability literal {value!r}") from exc
     else:

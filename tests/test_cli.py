@@ -387,6 +387,16 @@ class TestGformulaCommand:
         assert doc["error"] == "InvalidDocument"
         assert doc["message"] == "state 7 out of range for 'C' (cardinality 2)"
 
+    def test_literal_past_the_digit_bound_exits_2_naming_it(self, capsys, tmp_path):
+        graph, law = tmp_path / "a.json", tmp_path / "law.json"
+        graph.write_text(json.dumps({"vertices": ["A"]}))
+        entries = [{"cell": [0], "p": "1e-5000"}, {"cell": [1], "p": "1"}]
+        law.write_text(json.dumps({"variables": {"A": 2}, "entries": entries}))
+        code, out = run(capsys, "gformula", "--graph", str(graph), "--dist", str(law))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "InvalidDocument" and "'1e-5000'" in doc["message"]
+
     def test_output_roundtrips_and_is_deterministic(self, capsys, tmp_path, chain_graph_file, chain_dist_file):
         outs = []
         for name in ("a.json", "b.json"):

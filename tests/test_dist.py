@@ -119,6 +119,15 @@ def test_parse_prob_accepts_fractions_decimals_and_rejects_negatives():
         parse_prob("x")
 
 
+def test_parse_prob_bounds_the_digits_of_decimal_literals():
+    assert parse_prob("1e-300") == Fraction(1, 10**300)
+    assert parse_prob(1e-300) == Fraction(1, 10**300)
+    assert parse_prob(0.1) == Fraction(1, 10)
+    for literal in ("1e-200000", "1e-4300", "1" * 2200 + "." + "1" * 2200):
+        with pytest.raises(InvalidDocument, match="needs over 4300 digits"):
+            parse_prob(literal)
+
+
 def test_total_mass_must_be_one():
     with pytest.raises(InvalidDocument):
         FiniteDistribution([("A", 2)], {(0,): Fraction(1, 3)})

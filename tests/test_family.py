@@ -6,7 +6,7 @@ import pytest
 
 from helpers import mutate_family, random_positive_joint, two_stage_dag
 from swigcheck.dist import ConditionalTable, FiniteDistribution, product_cells
-from swigcheck.errors import IncompleteFamily, InvalidDocument, InvalidQuery, NotIdentified
+from swigcheck.errors import IncompleteFamily, InvalidDocument, InvalidQuery, NotATarget, NotIdentified
 from swigcheck.family import (
     CounterfactualFamily,
     build_ffrcistg,
@@ -302,6 +302,11 @@ class TestBuilder:
     def test_kernel_chain_rejects_non_integer_states(self, chain_family, chain):
         with pytest.raises(InvalidDocument, match="state index of 'A' must be an integer"):
             kernel_chain_check(chain_family, chain, "C", {"A": 0.5, "B": 1})
+
+    @pytest.mark.parametrize("a", [{"A": 1}, {"A": 1, "B": 0, "C": 0}])
+    def test_kernel_chain_assignment_must_cover_exactly_the_targets(self, chain_family, chain, a):
+        with pytest.raises(NotATarget, match="assignment must cover exactly the targets"):
+            kernel_chain_check(chain_family, chain, "C", a)
 
 
 def random_cpt_model(rng, cards, zero_rate=0.0):

@@ -1,13 +1,16 @@
 """Seeded document mutations: every run ends in a verdict or a structured error.
 
-Family, kernel and law documents get one field deleted, or set to ``null``,
-``true``, ``1.5``, ``"x"``, ``[]``, ``{}`` or ``-1``: the whole document, its
-top-level and graph fields, an edge, a member entry, the member's key and
-the values in it, and the member law's variables, entries, cells, state
-indices and ``p``. Each
-mutated document runs through the CLI (``check --mode all`` for families and
-kernels, ``gformula`` for laws). The exit code must be 0, 1 or 2, and an error
-line must name a ``SwigcheckError`` subclass, never a raw Python exception.
+Family, kernel, law and graph documents get one field deleted, or set to
+``null``, ``true``, ``1.5``, ``"x"``, ``[]``, ``{}`` or ``-1``: the whole
+document, its top-level and graph fields, an edge, a member entry, the
+member's key and the values in it, and the member law's variables, entries,
+cells, state indices and ``p``. Each mutated document runs through the CLI
+(``check --mode all`` for families and kernels, ``gformula`` for laws, and
+``split``, ``dsep`` on both sides and ``markov`` for graphs). The exit code
+must be 0, 1 or 2, and an error line must name a ``SwigcheckError``
+subclass, never a raw Python exception. ``--assign`` strings that name a
+non-target, an unknown vertex or a non-integer state must exit 2 on every
+graph command that reads them.
 """
 
 from __future__ import annotations
@@ -93,6 +96,19 @@ def documents(rng: random.Random):
     ]
 
 
+def run_cli(argv: list, label) -> int:
+    """Exit code of one CLI run, after checking the rule above."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code in (0, 1, 2), label
+    first = buf.getvalue().splitlines()[0]
+    if code == 2:
+        line = json.loads(first)
+        assert line["verdict"] == "error" and line["error"] in STRUCTURED, (label, line)
+    return code
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mutated_documents_end_in_a_verdict_or_a_structured_error(tmp_path, seed):
     rng = random.Random(seed)
@@ -108,14 +124,42 @@ def test_mutated_documents_end_in_a_verdict_or_a_structured_error(tmp_path, seed
         for site in sites:
             for value in (DELETE, *VALUES) if site else VALUES:
                 path.write_text(json.dumps(mutated(doc, site, value)))
-                buf = io.StringIO()
-                with redirect_stdout(buf):
-                    code = main(argv)
-                label = (kind, site, value)
-                assert code in (0, 1, 2), label
-                first = buf.getvalue().splitlines()[0]
-                if code == 2:
-                    line = json.loads(first)
-                    assert line["verdict"] == "error" and line["error"] in STRUCTURED, (label, line)
+                run_cli(argv, (kind, site, value))
                 runs += 1
     assert runs > 300
+
+
+def graph_commands(path, assign: str, augmented_assign: str) -> list[list]:
+    """``split``, ``dsep`` on both sides and ``markov`` on the chain graph."""
+    path = str(path)
+    return [
+        ["split", "--graph", path, "--assign", assign],
+        ["dsep", "--graph", path, "--assign", assign, "--x", "C", "--y", "fixed:A", "--z", "B"],
+        ["dsep", "--graph", path, "--side", "augmented", "--assign", augmented_assign, "--x", "C", "--y", "fixed:F_A", "--z", "B"],
+        ["markov", "--graph", path],
+        ["markov", "--graph", path, "--side", "augmented"],
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mutated_graphs_end_in_a_verdict_or_a_structured_error(tmp_path, seed):
+    rng = random.Random(seed)
+    doc = serialize_dag(chain_dag())
+    sites = [[], *([field] for field in doc), ["edges", rng.randrange(len(doc["edges"]))]]
+    path = tmp_path / "graph.json"
+    runs = 0
+    for site in sites:
+        for value in (DELETE, *VALUES) if site else VALUES:
+            path.write_text(json.dumps(mutated(doc, site, value)))
+            for argv in graph_commands(path, "A=0,B=1", "A=0"):
+                run_cli(argv, (site, value, argv[0]))
+                runs += 1
+    assert runs > 200
+
+
+@pytest.mark.parametrize("assign", ["A=0,B=1,C=0", "A=0,B=1,Q=1", "A=x,B=1", "A=0.5,B=1"])
+def test_assignments_outside_the_targets_or_states_exit_2(tmp_path, assign):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(serialize_dag(chain_dag())))
+    for argv in graph_commands(path, assign, assign)[:3]:
+        assert run_cli(argv, argv) == 2, argv

@@ -261,6 +261,10 @@ class TestSerialization:
         back = swig_from_json(doc)
         assert swig_to_json(back) == doc
 
+    def test_json_dump_without_graph_is_invalid(self):
+        with pytest.raises(InvalidDocument):
+            swig_from_json({})
+
     def test_parse_node_set(self):
         nodes = parse_node_set("Y, fixed:X0 ,Z")
         assert nodes == (Node("Y"), Node("X0", fixed=True), Node("Z"))
