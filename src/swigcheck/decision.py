@@ -262,7 +262,6 @@ class RegimeKernel:
         if space is not None:
             if not isinstance(space, (list, tuple)) or not all(isinstance(f, (list, tuple)) for f in space):
                 raise InvalidDocument(f"'regime_space' must be a list of regimes, got {space!r}")
-            space = [tuple(_regime_value(v) for v in f) for f in space]
         roles = document.get("roles", {})
         if not isinstance(roles, Mapping) or not all(isinstance(r, str) for r in roles.values()):
             raise InvalidDocument(f"'roles' must map role names to names, got {roles!r}")
@@ -390,7 +389,13 @@ def natural_value_regime(k: RegimeKernel, i: str, C: Sequence[str] = (), c: Sequ
     report = CheckReport("natural-value-regime", mismatch is None)
     if mismatch is not None:
         cell, lhs, rhs = mismatch
-        report.witnesses.append({"cell": _as_dict(k.dag.order, cell), "stitched": lhs, "idle": rhs})
+        report.witnesses.append(
+            {
+                "cell": _as_dict(k.dag.order, cell),
+                "stitched": lhs,
+                "idle": rhs,
+            }
+        )
     return stitched, report
 
 

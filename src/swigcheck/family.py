@@ -467,7 +467,14 @@ def check_no_future_effect(fam: CounterfactualFamily, k: str) -> CheckReport:
         if mismatch is not None:
             cell, p, q = mismatch
             report.holds = False
-            report.witnesses.append({"a": full, "cell": _as_dict(prefix, cell), "lhs": p, "rhs": q})
+            report.witnesses.append(
+                {
+                    "a": full,
+                    "cell": _as_dict(prefix, cell),
+                    "lhs": p,
+                    "rhs": q,
+                }
+            )
             break
     return report
 
