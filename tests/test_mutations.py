@@ -161,5 +161,5 @@ def test_mutated_graphs_end_in_a_verdict_or_a_structured_error(tmp_path, seed):
 def test_assignments_outside_the_targets_or_states_exit_2(tmp_path, assign):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(serialize_dag(chain_dag())))
-    for argv in graph_commands(path, assign, assign)[:3]:
+    for argv in graph_commands(path, assign, assign)[:3]:  # the commands that read --assign
         assert run_cli(argv, argv) == 2, argv
