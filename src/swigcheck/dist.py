@@ -1,13 +1,13 @@
 """Exact finite discrete probability tables.
 
-All probabilities are :class:`fractions.Fraction` values and every operation
-is closed over the rationals, so equality checks used by the checkers are
-exact rather than tolerance-based. Each table also keeps its masses as
-integer numerators over one shared denominator, so mass totals and
-conditional rows are integer sums and a ``Fraction`` is built once per
-conditional row entry. Conditional tables mark rows whose conditioning
-event has probability zero as undefined; the checkers skip such rows and
-report how many were skipped.
+Every operation is closed over the rationals, so equality checks used by
+the checkers are exact rather than tolerance-based. A table stores its
+masses as integer numerators over their least common denominator, so mass
+totals and conditional rows are integer sums, and a :class:`fractions.Fraction`
+is built only where a value is read. Conditional tables keep each row as a
+canonical integer tuple and mark rows whose conditioning event has
+probability zero as undefined; the checkers skip such rows and report how
+many were skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CellBudgetExceeded, InvalidDocument, InvalidQuery, UnknownVariable
 
@@ -52,11 +52,12 @@ def document_int(value, what: str) -> int:
     return value
 
 
-def _integer_masses(mass: Mapping) -> tuple[int, dict]:
-    """``(L, {key: p·L})``: the least common denominator ``L`` of the values
-    and each value's integer numerator over it; ``L`` is 1 when empty."""
-    den = math.lcm(*(p.denominator for p in mass.values()))
-    return den, {key: p.numerator * (den // p.denominator) for key, p in mass.items()}
+def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
+    """``den`` and ``nums`` divided by their greatest common divisor."""
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {key: n // g for key, n in nums.items()}
 
 
 def _projector(positions: Sequence[int]):
@@ -95,17 +96,33 @@ def parse_prob(value) -> Fraction:
     return p
 
 
+def _literal(value) -> tuple[int, int]:
+    """``(num, den)`` of a document mass: ``"n/d"`` in decimal digits with a
+    nonzero ``d`` is read as two ints, anything else by :func:`parse_prob`."""
+    num, _, den = value.partition("/") if type(value) is str else ("", "", "")
+    if num.isdecimal() and den.isdecimal():
+        try:
+            if int(den):
+                return int(num), int(den)
+        except ValueError:  # past the int-to-text digit limit
+            pass
+    p = parse_prob(value)
+    return p.numerator, p.denominator
+
+
 class FiniteDistribution:
     """Joint probability table over named discrete variables.
 
     Cells are tuples of state indices aligned with ``variables``. Only
-    nonzero cells are stored; the total mass must be exactly one. ``_scaled``
-    holds the same masses as ``(L, {cell: p·L})``, see :func:`_integer_masses`.
+    nonzero cells are stored, as integer numerators ``nums`` over ``den`` in
+    lowest terms, so equal laws store equal forms. The total mass must be
+    exactly one. ``_parsed`` marks a mass read by :meth:`from_json`: tuple
+    cells of ints mapped to ``(num, den)`` pairs.
     """
 
-    __slots__ = ("variables", "_index", "_mass", "_scaled")
+    __slots__ = ("variables", "_index", "den", "nums")
 
-    def __init__(self, variables: Sequence[tuple[str, int]], mass: Mapping[tuple, Fraction], *, _checked=False):
+    def __init__(self, variables: Sequence[tuple[str, int]], mass: Mapping[tuple, Fraction], *, _checked=False, _parsed=False):
         variables = tuple((n, k) for n, k in variables)
         for n, _ in variables:
             if not isinstance(n, str):
@@ -123,37 +140,54 @@ class FiniteDistribution:
         if size > bound:
             raise CellBudgetExceeded(size, bound)
         cards = tuple(k for _, k in variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        ratios: dict[tuple[int, ...], tuple[int, int]] = {}
         for cell, p in mass.items():
-            cell = tuple(cell)
-            if len(cell) != len(variables):
+            if not _parsed:
+                cell = tuple(cell)
+            if len(cell) != len(cards):
                 raise InvalidDocument(f"cell {cell} has wrong arity")
             for s, k in zip(cell, cards):
-                if type(s) is not int:
+                if not (_parsed or type(s) is int):
                     raise InvalidDocument(f"state index must be an integer, got {s!r} in cell {cell}")
                 if not 0 <= s < k:
                     raise InvalidDocument(f"cell {cell} outside declared cardinalities")
-            p = p if isinstance(p, Fraction) else parse_prob(p)
-            if p < 0:
-                raise InvalidDocument(f"negative mass at cell {cell}")
-            if p != 0:
-                if cell in clean:
+            if not _parsed:
+                p = p if isinstance(p, Fraction) else parse_prob(p)
+                if p < 0:
+                    raise InvalidDocument(f"negative mass at cell {cell}")
+                p = p.numerator, p.denominator
+            if p[0]:
+                if cell in ratios:
                     raise InvalidDocument(f"duplicate cell {cell}")
-                clean[cell] = p
-        den, nums = _integer_masses(clean)
+                ratios[cell] = p
+        den = math.lcm(*{d for _, d in ratios.values()})
+        scale = {d: den // d for _, d in ratios.values()}
+        nums = {cell: n * scale[d] for cell, (n, d) in ratios.items()}
         if not _checked:
             total = sum(nums.values())
             if total != den:
-                raise InvalidDocument(f"total mass is {Fraction(total, den)}, expected 1")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_index", {n: i for i, (n, _) in enumerate(variables)})
-        object.__setattr__(self, "_mass", clean)
-        object.__setattr__(self, "_scaled", (den, nums))
+                total = Fraction(total, den)
+                if max(total.numerator, total.denominator) >= 10**MAX_LITERAL_DIGITS:
+                    total = f"a fraction of over {MAX_LITERAL_DIGITS} digits"
+                raise InvalidDocument(f"total mass is {total}, expected 1")
+        self._store(variables, *_lowest_terms(den, nums))
+
+    def _store(self, variables, den: int, nums: dict) -> None:
+        for name, value in zip(self.__slots__, (variables, {n: i for i, (n, _) in enumerate(variables)}, den, nums)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _raw(cls, variables, mass) -> "FiniteDistribution":
         """Diagnostic table that may not sum to one (mutants, stitched laws)."""
         return cls(variables, mass, _checked=True)
+
+    @classmethod
+    def _derived(cls, variables, den: int, nums: dict) -> "FiniteDistribution":
+        """Table computed from a checked one, already in lowest terms: its
+        cells are not checked again."""
+        table = object.__new__(cls)
+        table._store(variables, den, nums)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteDistribution instances are immutable")
@@ -174,30 +208,30 @@ class FiniteDistribution:
         return self._index[name]
 
     def p(self, cell: Sequence[int]) -> Fraction:
-        return self._mass.get(tuple(cell), ZERO)
+        n = self.nums.get(tuple(cell))
+        return ZERO if n is None else Fraction(n, self.den)
 
     def cells(self) -> Iterable[tuple[int, ...]]:
         """All cells of the product space in lexicographic order."""
         return itertools.product(*(range(k) for _, k in self.variables))
 
     def support(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self._mass.items())
+        return [(cell, Fraction(n, self.den)) for cell, n in sorted(self.nums.items())]
 
     def total(self) -> Fraction:
-        den, nums = self._scaled
-        return Fraction(sum(nums.values()), den)
+        return Fraction(sum(self.nums.values()), self.den)
 
     def is_strictly_positive(self) -> bool:
         # only nonzero, in-range, distinct cells are stored
-        return len(self._mass) == math.prod(k for _, k in self.variables)
+        return len(self.nums) == math.prod(k for _, k in self.variables)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteDistribution):
             return NotImplemented
-        return self.variables == other.variables and self._mass == other._mass
+        return self.variables == other.variables and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
-        return f"FiniteDistribution({self.names}, {len(self._mass)} nonzero cells)"
+        return f"FiniteDistribution({self.names}, {len(self.nums)} nonzero cells)"
 
     # -- operations ---------------------------------------------------
 
@@ -210,8 +244,8 @@ class FiniteDistribution:
             raise UnknownVariable(set(names) ^ set(self.names))
         perm = [self.index(n) for n in names]
         variables = tuple(self.variables[i] for i in perm)
-        mass = {tuple(cell[i] for i in perm): p for cell, p in self._mass.items()}
-        return FiniteDistribution._raw(variables, mass)
+        of = _projector(perm)
+        return FiniteDistribution._derived(variables, self.den, {of(cell): n for cell, n in self.nums.items()})
 
     def marginal(self, keep: Iterable[str]) -> "FiniteDistribution":
         """Sum the mass over every variable not in ``keep``."""
@@ -220,11 +254,12 @@ class FiniteDistribution:
             self.index(n)
         positions = [i for i, (n, _) in enumerate(self.variables) if n in keep]
         variables = tuple(self.variables[i] for i in positions)
-        mass: dict[tuple[int, ...], Fraction] = {}
-        for cell, p in self._mass.items():
-            sub = tuple(cell[i] for i in positions)
-            mass[sub] = mass.get(sub, ZERO) + p
-        return FiniteDistribution._raw(variables, mass)
+        of = _projector(positions)
+        nums: dict[tuple[int, ...], int] = {}
+        for cell, n in self.nums.items():
+            sub = of(cell)
+            nums[sub] = nums.get(sub, 0) + n
+        return FiniteDistribution._derived(variables, *_lowest_terms(self.den, nums))
 
     def _name_sequence(self, names: Iterable[str]) -> list[str]:
         # sets fall back to declaration order; sequences keep the caller's order
@@ -257,22 +292,21 @@ class FiniteDistribution:
         # integer numerators over the table's shared denominator, which
         # cancels in every row
         joint: dict[tuple, dict[tuple, int]] = {}
-        for cell, n in self._scaled[1].items():
+        for cell, n in self.nums.items():
             g, t = g_of(cell), t_of(cell)
             row = joint.get(g)
             if row is None:
                 joint[g] = {t: n}
             else:
                 row[t] = row.get(t, 0) + n
-        rows: dict[tuple, dict[tuple, Fraction] | None] = {}
-        for g in itertools.product(*(range(k) for _, k in g_vars)):
-            row = joint.get(g)
-            if row is None:
-                rows[g] = None
-            else:
-                d = sum(row.values())
-                rows[g] = {t: Fraction(n, d) for t, n in sorted(row.items())}
-        return ConditionalTable(t_vars, g_vars, rows)
+        # every given-cell in order; those with no mass stay undefined
+        keys = dict.fromkeys(itertools.product(*(range(k) for _, k in g_vars)))
+        for g, row in joint.items():
+            d = sum(row.values())
+            c = math.gcd(d, *row.values())
+            items = sorted(row.items())
+            keys[g] = (d, *items) if c == 1 else (d // c, *((t, n // c) for t, n in items))
+        return ConditionalTable(t_vars, g_vars, None, _keys=keys)
 
     # -- serialization ------------------------------------------------
 
@@ -297,41 +331,64 @@ class FiniteDistribution:
         entries = document.get("entries", [])
         if not isinstance(entries, (list, tuple)):
             raise InvalidDocument(f"'entries' must be a list, got {entries!r}")
-        mass: dict[tuple, Fraction] = {}
+        mass: dict[tuple, tuple[int, int]] = {}
         for entry in entries:
-            if not isinstance(entry, Mapping) or set(entry) != {"cell", "p"}:
+            if not (type(entry) is dict or isinstance(entry, Mapping)) or entry.keys() != {"cell", "p"}:
                 raise InvalidDocument(f"bad entry: {entry!r}")
-            if not isinstance(entry["cell"], (list, tuple)):
-                raise InvalidDocument(f"cell must be a list of state indices, got {entry['cell']!r}")
-            cell = tuple(document_int(s, "state index") for s in entry["cell"])
+            cell = entry["cell"]
+            if not isinstance(cell, (list, tuple)):
+                raise InvalidDocument(f"cell must be a list of state indices, got {cell!r}")
+            cell = tuple(cell)
+            for s in cell:
+                if type(s) is not int:
+                    raise InvalidDocument(f"state index must be an integer, got {s!r}")
             if cell in mass:
                 raise InvalidDocument(f"duplicate cell {list(cell)}")
-            mass[cell] = parse_prob(entry["p"])
-        return cls(variables.items(), mass)
+            mass[cell] = _literal(entry["p"])
+        return cls(variables.items(), mass, _parsed=True)
 
 
 class ConditionalTable:
-    """Rows of exact conditional distributions, undefined where mass is zero."""
+    """Rows of exact conditional distributions, undefined where mass is zero.
 
-    __slots__ = ("target", "given", "rows")
+    ``row_keys`` maps each given-cell to ``None`` or to its row in lowest
+    terms as ``(d, (t, n), ...)``, so rows are equal exactly when their keys
+    are; ``rows`` derives ``{t: Fraction}`` dicts from them. ``_keys`` are
+    keys :meth:`FiniteDistribution.conditional` built, not checked again.
+    """
 
-    def __init__(self, target, given, rows):
+    __slots__ = ("target", "given", "row_keys", "_rows")
+
+    def __init__(self, target, given, rows, *, _keys=None):
+        if _keys is None:
+            rows, _keys = dict(rows), {}
+            for cell, row in rows.items():
+                if row is None:
+                    _keys[cell] = None
+                    continue
+                try:
+                    # the lcm of reduced denominators leaves the row in lowest terms
+                    den = math.lcm(*(q.denominator for q in row.values()))
+                    items = sorted((t, q.numerator * (den // q.denominator)) for t, q in row.items())
+                except AttributeError:
+                    raise InvalidDocument(f"conditional row at {cell} holds a value that is not exact") from None
+                if sum(n for _, n in items) != den:
+                    raise InvalidDocument(f"conditional row at {cell} does not sum to 1")
+                _keys[cell] = (den, *items)
         object.__setattr__(self, "target", tuple(target))
         object.__setattr__(self, "given", tuple(given))
-        object.__setattr__(self, "rows", dict(rows))
-        for cell, row in self.rows.items():
-            if row is None:
-                continue
-            try:
-                den = math.lcm(*(q.denominator for q in row.values()))
-                total = sum(q.numerator * (den // q.denominator) for q in row.values())
-            except AttributeError:
-                raise InvalidDocument(f"conditional row at {cell} holds a value that is not exact") from None
-            if total != den:
-                raise InvalidDocument(f"conditional row at {cell} does not sum to 1")
+        object.__setattr__(self, "row_keys", _keys)
+        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionalTable instances are immutable")
+
+    @property
+    def rows(self) -> dict:
+        if self._rows is None:
+            rows = {g: None if k is None else {t: Fraction(n, k[0]) for t, n in k[1:]} for g, k in self.row_keys.items()}
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def target_names(self) -> tuple[str, ...]:
@@ -343,7 +400,7 @@ class ConditionalTable:
 
     def row(self, cell: Sequence[int]):
         cell = tuple(cell)
-        if cell not in self.rows:
+        if cell not in self.row_keys:
             raise InvalidQuery(f"no row for given-cell {cell}")
         return self.rows[cell]
 
@@ -353,7 +410,7 @@ class ConditionalTable:
         return (
             self.target == other.target
             and self.given == other.given
-            and self.rows == other.rows
+            and self.row_keys == other.row_keys
         )
 
     def __repr__(self):
@@ -434,10 +491,11 @@ def diagonal_mismatches(with_iv: FiniteDistribution, without: FiniteDistribution
     positions hold the given values and where two laws over the same
     variables disagree; ``lhs`` is from ``with_iv``, ``rhs`` from ``without``."""
     axes = [(pinned[i],) if i in pinned else range(k) for i, (_, k) in enumerate(with_iv.variables)]
+    (d_l, left), (d_r, right) = (with_iv.den, with_iv.nums), (without.den, without.nums)
     for cell in itertools.product(*axes):
-        lhs, rhs = with_iv.p(cell), without.p(cell)
-        if lhs != rhs:
-            yield cell, lhs, rhs
+        a, b = left.get(cell, 0), right.get(cell, 0)
+        if a * d_r != b * d_l:
+            yield cell, Fraction(a, d_l), Fraction(b, d_r)
 
 
 def product_cells(cards: Sequence[int]) -> Iterable[tuple[int, ...]]:

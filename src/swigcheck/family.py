@@ -377,7 +377,7 @@ def reduce_interventions(fam: CounterfactualFamily, B, C, W, mode: str = "joint"
 
 
 def markov_rows(dag: Dag, cards: Mapping[str, int], member, v: str, prefix: str):
-    """Rows of ``v`` given its predecessors across every full assignment.
+    """Row keys of ``v`` given its predecessors across every full assignment.
 
     ``member`` maps an assignment tuple (target order) to its law. Context
     cells run over the assignment (coordinates ``<prefix>:T``), then the
@@ -389,7 +389,7 @@ def markov_rows(dag: Dag, cards: Mapping[str, int], member, v: str, prefix: str)
     context_vars = [f"{prefix}:{t}" for t in A] + [f"w:{u}" for u in pre]
     rows: dict[tuple, object] = {}
     for a in _value_cells(cards, A):
-        rows.update((a + w, row) for w, row in member(a).conditional((v,), pre).rows.items())
+        rows.update((a + w, row) for w, row in member(a).conditional((v,), pre).row_keys.items())
     pa = dag.parents(v)
     projection = {f"{prefix}:{t}" for t in pa & set(A)} | {f"w:{u}" for u in pa - set(A)}
     return rows, context_vars, pre, projection
@@ -541,7 +541,7 @@ def check_observed_markov(p: FiniteDistribution, dag: Dag) -> CheckReport:
 
     def rows_of(v):
         pre = [u for u in dag.order if u in dag.predecessors(v)]
-        return p.conditional((v,), pre).rows, pre, pre, dag.parents(v)
+        return p.conditional((v,), pre).row_keys, pre, pre, dag.parents(v)
 
     return markov_report("observed-markov", dag, rows_of)
 

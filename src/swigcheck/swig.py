@@ -409,7 +409,10 @@ def swig_from_json(document) -> Swig:
     if not isinstance(document, Mapping):
         raise InvalidDocument("swig dump must be a JSON object")
     dag = parse_dag(document.get("graph"))
-    rebuilt = split(dag, document.get("assignment", {}), document.get("scheme", "uniform"))
+    assignment = document.get("assignment", {})
+    if not isinstance(assignment, Mapping):
+        raise InvalidDocument(f"'assignment' must be an object, got {assignment!r}")
+    rebuilt = split(dag, assignment, document.get("scheme", "uniform"))
     if swig_to_json(rebuilt) != dict(document):
         raise InvalidDocument("swig dump is inconsistent with its own graph spec")
     return rebuilt

@@ -397,6 +397,20 @@ class TestGformulaCommand:
         doc = json.loads(out)
         assert doc["error"] == "InvalidDocument" and "'1e-5000'" in doc["message"]
 
+    def test_total_mass_past_the_digit_bound_exits_2(self, capsys, tmp_path):
+        # each literal fits the digit bound, but their common denominator
+        # has over 6,000 digits
+        graph, law = tmp_path / "a.json", tmp_path / "law.json"
+        graph.write_text(json.dumps({"vertices": ["A"]}))
+        masses = [f"1/{10**3000 + 1}", f"1/{10**3000 + 3}", "1/2"]
+        entries = [{"cell": [i], "p": p} for i, p in enumerate(masses)]
+        law.write_text(json.dumps({"variables": {"A": 3}, "entries": entries}))
+        code, out = run(capsys, "gformula", "--graph", str(graph), "--dist", str(law))
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"] == "InvalidDocument"
+        assert doc["message"] == "total mass is a fraction of over 4300 digits, expected 1"
+
     def test_output_roundtrips_and_is_deterministic(self, capsys, tmp_path, chain_graph_file, chain_dist_file):
         outs = []
         for name in ("a.json", "b.json"):

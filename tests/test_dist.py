@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -126,6 +127,34 @@ def test_parse_prob_bounds_the_digits_of_decimal_literals():
     for literal in ("1e-200000", "1e-4300", "1" * 2200 + "." + "1" * 2200):
         with pytest.raises(InvalidDocument, match="needs over 4300 digits"):
             parse_prob(literal)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1/2", "2/4", "0/3", "1/0", " 1/2", "+1/2", "1_0/20", "1/-2", "-1/2", "1 /2",
+        "\u0663/\u0664",  # Arabic-Indic digits
+        "1" + "0" * 4300 + "/1" + "0" * 4300,  # 4,301-digit numerator and denominator
+        "0.25", "1e-300",
+    ],
+)
+def test_from_json_reads_literals_as_parse_prob_does(literal):
+    """The two-int fast path for "n/d" accepts what parse_prob accepts, gives
+    the same mass, and leaves every rejection to parse_prob."""
+    try:
+        p = parse_prob(literal)
+    except InvalidDocument as exc:
+        expected = exc
+    else:
+        expected = None
+    entries = [{"cell": [0], "p": literal}, {"cell": [1], "p": "1" if expected else str(1 - p)}]
+    doc = {"variables": {"A": 2}, "entries": entries}
+    if expected is None:
+        assert FiniteDistribution.from_json(doc).p((0,)) == p
+    else:
+        with pytest.raises(InvalidDocument) as caught:
+            FiniteDistribution.from_json(doc)
+        assert str(caught.value) == str(expected)
 
 
 def test_total_mass_must_be_one():
@@ -295,16 +324,11 @@ def seeded_law(seed, raw):
     return FiniteDistribution(variables, {cell: p / total for cell, p in mass.items()})
 
 
-@pytest.mark.parametrize("raw", [False, True])
-@pytest.mark.parametrize("seed", range(6))
-def test_conditional_matches_fraction_reference(seed, raw):
-    d = seeded_law(seed, raw)
-    assert (d.total() != 1) == raw
-    assert d.total() == sum(p for _, p in d.support())
-    names = d.names
+def seeded_queries(names, seed):
+    """(target, given) pairs over a seeded law's names, sets among them."""
     rng = random.Random(100 + seed)
     shuffled = rng.sample(names, len(names))
-    queries = [
+    return [
         ((names[-1],), set(names[:-1])),
         ({names[0]}, tuple(reversed(names[1:]))),
         ((names[1],), ()),
@@ -312,8 +336,16 @@ def test_conditional_matches_fraction_reference(seed, raw):
         (tuple(shuffled[:2]), tuple(shuffled[2:])),
         ((names[2],), (names[1], names[0])),
     ]
+
+
+@pytest.mark.parametrize("raw", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_conditional_matches_fraction_reference(seed, raw):
+    d = seeded_law(seed, raw)
+    assert (d.total() != 1) == raw
+    assert d.total() == sum(p for _, p in d.support())
     undefined = 0
-    for target, given in queries:
+    for target, given in seeded_queries(d.names, seed):
         table = d.conditional(target, given)
         expected = reference_conditional_rows(d, target, given)
         assert list(table.rows) == list(expected)
@@ -323,3 +355,43 @@ def test_conditional_matches_fraction_reference(seed, raw):
         undefined += sum(row is None for row in expected.values())
     # the X0=2, X1=1 zeros leave the (X1, X0) rows of the last query undefined
     assert undefined > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stored_form_is_the_same_on_every_path(seed):
+    d = seeded_law(seed, False)
+    names = d.names
+    # unreduced literals: the parser must still reach lowest terms
+    doc = {
+        "variables": dict(d.variables),
+        "entries": [{"cell": list(cell), "p": f"{3 * p.numerator}/{3 * p.denominator}"} for cell, p in d.support()],
+    }
+    paths = [
+        FiniteDistribution.from_json(doc),
+        FiniteDistribution(d.variables, dict(d.support())),
+        d.reorder(names[::-1]).reorder(names),
+        d.marginal(names),
+    ]
+    for law in paths:
+        assert law == d
+        assert (law.den, law.nums) == (d.den, d.nums)
+        assert math.gcd(law.den, *law.nums.values()) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_keys_are_equal_exactly_when_rows_are(seed):
+    # the raw law and its normalization have the same conditional rows over
+    # different denominators
+    raw, law = seeded_law(seed, True), seeded_law(seed, False)
+    assert raw.den != law.den
+    found = []
+    for d in (raw, law):
+        for target, given in seeded_queries(d.names, seed):
+            table = d.conditional(target, given)
+            assert ConditionalTable(table.target, table.given, table.rows) == table
+            found += [(key, table.rows[cell]) for cell, key in table.row_keys.items() if key is not None]
+    shared = 0
+    for (k1, r1), (k2, r2) in itertools.combinations(found, 2):
+        assert (k1 == k2) == (r1 == r2)
+        shared += k1 == k2
+    assert shared > 0

@@ -12,7 +12,7 @@ from helpers import (
     two_stage_dag,
 )
 from swigcheck.errors import InvalidDocument, InvalidQuery, NotATarget, UnknownNode
-from swigcheck.graph import Dag
+from swigcheck.graph import Dag, serialize_dag
 from swigcheck.swig import (
     Node,
     local_markov_statements,
@@ -264,6 +264,10 @@ class TestSerialization:
     def test_json_dump_without_graph_is_invalid(self):
         with pytest.raises(InvalidDocument):
             swig_from_json({})
+
+    def test_json_dump_with_a_list_assignment_is_invalid(self, chain):
+        with pytest.raises(InvalidDocument, match="'assignment' must be an object"):
+            swig_from_json({"graph": serialize_dag(chain), "assignment": ["A", "B"]})
 
     def test_parse_node_set(self):
         nodes = parse_node_set("Y, fixed:X0 ,Z")
