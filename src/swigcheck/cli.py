@@ -22,7 +22,7 @@ from pathlib import Path
 from . import decision, family, swig
 from .dist import FiniteDistribution, jsonable
 from .errors import NotIdentified, SwigcheckError
-from .graph import parse_assignment, parse_dag, validate_assignment
+from .graph import parse_assignment, parse_dag
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -148,7 +148,6 @@ def cmd_gformula(args) -> int:
     if extra:
         raise SwigcheckError(f"intervention names non-targets: {sorted(extra)}")
     p = p.reorder(dag.order)
-    validate_assignment(intervention, p.cards)
     if not intervention:
         out = p
     else:

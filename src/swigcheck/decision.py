@@ -372,6 +372,8 @@ def natural_value_regime(k: RegimeKernel, i: str, C: Sequence[str] = (), c: Sequ
     c = tuple(document_int(v, "state index") for v in c)
     if len(C) != len(c):
         raise InvalidQuery("C and c must align")
+    if i in C or len(set(C)) != len(C):
+        raise InvalidQuery(f"C must name distinct targets other than {i!r}")
     base = [IDLE] * len(k.indicators)
     for t, v in zip(C, c):
         base[k.target_index(t)] = v
@@ -511,30 +513,27 @@ def check_eci(k: RegimeKernel, stmt: EciStatement) -> CheckReport:
     for f in sorted(k.regime_space, key=_regime_sort_key):
         if any(f[idx[n]] is IDLE for n in stmt.non_idle):
             continue
-        member = k.member(f)
-        table = member.conditional(left, given_s + right_s)
+        table = k.member(f).conditional(left, given_s + right_s)
         f_given = tuple(("idle" if f[idx[g]] is IDLE else f[idx[g]]) for g in given_f)
-        for cell in product_cells([k.cards[v] for v in given_s + right_s]):
-            row = table.row(cell)
-            if row is None:
+        for cell, row_key in table.row_keys.items():
+            if row_key is None:
                 report.skipped += 1
                 continue
             g_cell = cell[: len(given_s)]
             r_cell = cell[len(given_s):]
             key = (f_given, g_cell)
             varying = {"regime": _regime_json(k, f), "right_cell": _as_dict(right_s, r_cell)}
-            if key not in reference:
-                reference[key] = (row, varying)
-            elif reference[key][0] != row:
+            first_table, first_cell, first = reference.setdefault(key, (table, cell, varying))
+            if first_table.row_keys[first_cell] != row_key:
                 report.holds = False
                 report.witnesses.append(
                     {
                         "given_regime": dict(zip(given_f, f_given)),
                         "given_cell": _as_dict(given_s, g_cell),
-                        "first": reference[key][1],
+                        "first": first,
                         "second": varying,
-                        "first_row": reference[key][0],
-                        "second_row": row,
+                        "first_row": first_table.row(first_cell),
+                        "second_row": table.row(cell),
                     }
                 )
     return report
@@ -620,7 +619,7 @@ def build_intersection_counterexample(
     x_name, y_name = p_minus.names
     t_minus = p_minus.conditional((y_name,), (x_name,))
     t_plus = p_plus.conditional((y_name,), (x_name,))
-    if rows_equal(t_minus.rows, t_plus.rows)[0]:
+    if rows_equal(t_minus.row_keys, t_plus.row_keys)[0]:
         raise NotACounterexample("the conditional laws agree on every defined row")
     dag = Dag([x_name, y_name], [(x_name, y_name)])
     space = [(-2, -2), (-2, -1), (-1, -2), (-1, -1), (1, 1), (1, 2), (2, 1), (2, 2)]
@@ -708,7 +707,7 @@ def derive_joint_independence(k: RegimeKernel, W: Iterable[str]) -> CheckReport:
     coordinate changes); when every premise holds the joint claim is verified
     exhaustively across the whole space.
     """
-    W = tuple(v for v in k.dag.order if v in set(W))
+    W = tuple(sorted(dict.fromkeys(W), key=k.dag.rank))  # rank raises UnknownVertex
     if not W:
         raise InvalidQuery("W must be non-empty")
     mti = check_move_to_idle(k.regime_space)

@@ -29,7 +29,6 @@ DEFAULT_MAX_CELLS = 1 << 20
 MAX_LITERAL_DIGITS = 4300
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def cell_bound() -> int:
@@ -116,8 +115,8 @@ class FiniteDistribution:
     Cells are tuples of state indices aligned with ``variables``. Only
     nonzero cells are stored, as integer numerators ``nums`` over ``den`` in
     lowest terms, so equal laws store equal forms. The total mass must be
-    exactly one. ``_parsed`` marks a mass read by :meth:`from_json`: tuple
-    cells of ints mapped to ``(num, den)`` pairs.
+    exactly one. ``_parsed`` marks a mass of tuple cells mapped to ``(num,
+    den)`` pairs, as :meth:`from_json` and the g-formula build it.
     """
 
     __slots__ = ("variables", "_index", "den", "nums")
@@ -147,15 +146,15 @@ class FiniteDistribution:
             if len(cell) != len(cards):
                 raise InvalidDocument(f"cell {cell} has wrong arity")
             for s, k in zip(cell, cards):
-                if not (_parsed or type(s) is int):
+                if type(s) is not int:
                     raise InvalidDocument(f"state index must be an integer, got {s!r} in cell {cell}")
                 if not 0 <= s < k:
                     raise InvalidDocument(f"cell {cell} outside declared cardinalities")
             if not _parsed:
                 p = p if isinstance(p, Fraction) else parse_prob(p)
-                if p < 0:
-                    raise InvalidDocument(f"negative mass at cell {cell}")
                 p = p.numerator, p.denominator
+            if p[0] < 0:
+                raise InvalidDocument(f"negative mass at cell {cell}")
             if p[0]:
                 if cell in ratios:
                     raise InvalidDocument(f"duplicate cell {cell}")
@@ -352,24 +351,25 @@ class ConditionalTable:
     """Rows of exact conditional distributions, undefined where mass is zero.
 
     ``row_keys`` maps each given-cell to ``None`` or to its row in lowest
-    terms as ``(d, (t, n), ...)``, so rows are equal exactly when their keys
-    are; ``rows`` derives ``{t: Fraction}`` dicts from them. ``_keys`` are
-    keys :meth:`FiniteDistribution.conditional` built, not checked again.
+    terms as ``(d, (t, n), ...)`` with zero entries dropped, so rows are
+    equal exactly when their keys are. ``row`` and ``rows`` render fresh
+    ``{t: Fraction}`` dicts from them on each read. ``_keys`` are keys
+    :meth:`FiniteDistribution.conditional` built, not checked again.
     """
 
-    __slots__ = ("target", "given", "row_keys", "_rows")
+    __slots__ = ("target", "given", "row_keys")
 
     def __init__(self, target, given, rows, *, _keys=None):
         if _keys is None:
-            rows, _keys = dict(rows), {}
-            for cell, row in rows.items():
+            _keys = {}
+            for cell, row in dict(rows).items():
                 if row is None:
                     _keys[cell] = None
                     continue
                 try:
                     # the lcm of reduced denominators leaves the row in lowest terms
                     den = math.lcm(*(q.denominator for q in row.values()))
-                    items = sorted((t, q.numerator * (den // q.denominator)) for t, q in row.items())
+                    items = sorted((t, q.numerator * (den // q.denominator)) for t, q in row.items() if q)
                 except AttributeError:
                     raise InvalidDocument(f"conditional row at {cell} holds a value that is not exact") from None
                 if sum(n for _, n in items) != den:
@@ -378,17 +378,13 @@ class ConditionalTable:
         object.__setattr__(self, "target", tuple(target))
         object.__setattr__(self, "given", tuple(given))
         object.__setattr__(self, "row_keys", _keys)
-        object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionalTable instances are immutable")
 
     @property
     def rows(self) -> dict:
-        if self._rows is None:
-            rows = {g: None if k is None else {t: Fraction(n, k[0]) for t, n in k[1:]} for g, k in self.row_keys.items()}
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        return {g: self.row(g) for g in self.row_keys}
 
     @property
     def target_names(self) -> tuple[str, ...]:
@@ -402,7 +398,8 @@ class ConditionalTable:
         cell = tuple(cell)
         if cell not in self.row_keys:
             raise InvalidQuery(f"no row for given-cell {cell}")
-        return self.rows[cell]
+        key = self.row_keys[cell]
+        return None if key is None else {t: Fraction(n, key[0]) for t, n in key[1:]}
 
     def __eq__(self, other):
         if not isinstance(other, ConditionalTable):

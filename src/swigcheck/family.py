@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .dist import (
     ConditionalTable,
     FiniteDistribution,
-    ONE,
     depends_only_on,
     diagonal_mismatches,
     document_int,
@@ -42,7 +42,7 @@ from .errors import (
     NotIdentified,
     UnknownVertex,
 )
-from .graph import Dag, parse_dag, serialize_dag
+from .graph import Dag, parse_dag, serialize_dag, validate_assignment
 from .reporting import CheckReport
 from .swig import markov_statement, require_targets
 
@@ -299,19 +299,19 @@ def check_conditional_consistency(fam: CounterfactualFamily, B, C, Y, W) -> Chec
             # only given-cells where B takes the intervened values
             axes = [(picked[v],) if v in picked else range(fam.cards[v]) for v in given]
             for gcell in itertools.product(*axes):
-                r1, r2 = joint_table.row(gcell), base_table.row(gcell)
-                if r1 is None or r2 is None:
+                k1, k2 = joint_table.row_keys[gcell], base_table.row_keys[gcell]
+                if k1 is None or k2 is None:
                     report.skipped += 1
                     continue
-                if r1 != r2:
+                if k1 != k2:
                     report.holds = False
                     report.witnesses.append(
                         {
                             "B": picked,
                             "context": ctx,
                             "given_cell": _as_dict(given, gcell),
-                            "lhs": r1,
-                            "rhs": r2,
+                            "lhs": joint_table.row(gcell),
+                            "rhs": base_table.row(gcell),
                         }
                     )
     return report
@@ -350,7 +350,7 @@ def reduce_interventions(fam: CounterfactualFamily, B, C, W, mode: str = "joint"
         law = lambda member: member.conditional(Y, w_ordered)
 
         def compare(x, y):
-            eq, cell, skipped = rows_equal(x.rows, y.rows)
+            eq, cell, skipped = rows_equal(x.row_keys, y.row_keys)
             return eq, {} if eq else {"given_cell": _as_dict(w_ordered, cell)}, skipped
 
     for c in _value_cells(fam.cards, C):
@@ -522,8 +522,8 @@ def kernel_chain_check(fam: CounterfactualFamily, dag: Dag, i: str, a: Mapping[s
         (t_pa_cond, t_pa_reduced, [pa.index(u) for u in pa_minus_A]),
     )
     for step, (wide, narrow, kept) in zip(KERNEL_CHAIN_STEPS, chain):
-        narrowed = {w: narrow.row(tuple(w[j] for j in kept)) for w in wide.rows}
-        eq, cell, sk = rows_equal(wide.rows, narrowed)
+        narrowed = {w: narrow.row_keys[tuple(w[j] for j in kept)] for w in wide.row_keys}
+        eq, cell, sk = rows_equal(wide.row_keys, narrowed)
         report.skipped += sk
         entry = {"step": step, "holds": eq}
         if not eq:
@@ -566,14 +566,16 @@ def gformula_member(
     contribute their assigned values instead of the cell's. The product is
     built in one sweep of the order: each nonzero prefix cell carries its
     partial product and is extended only by the states its conditional row
-    gives nonzero probability, so zero-mass prefixes are pruned. A
-    needed-but-undefined conditional row aborts with the offending vertex and
-    conditioning cell, for the lexicographically first full cell that needs
-    it.
+    gives nonzero probability, so zero-mass prefixes are pruned. Products
+    are integers over the product of each vertex's lcm of row denominators.
+    A needed-but-undefined conditional row aborts with the offending vertex
+    and conditioning cell, for the lexicographically first full cell that
+    needs it.
     """
+    validate_assignment(intervention, cards)
     order = dag.order
     pos = {v: j for j, v in enumerate(order)}
-    prefixes = {(): ONE}
+    prefixes, den = {(): 1}, 1
     # (prefix, vertex, parent names, parent cell) of the least failing prefix:
     # every full cell through a failing prefix fails there, and no failing
     # prefix extends another, so the least one holds the first failing full
@@ -581,25 +583,28 @@ def gformula_member(
     failure = None
     for v in order:
         parents = [u for u in order if u in dag.parents(v)]
-        slots = [(True, int(intervention[u])) if u in intervention else (False, pos[u]) for u in parents]
-        rows = cpts[v].rows
+        slots = [(True, intervention[u]) if u in intervention else (False, pos[u]) for u in parents]
+        keys = cpts[v].row_keys
+        d_v = math.lcm(*(key[0] for key in keys.values() if key is not None))
+        den *= d_v
         extended = {}
         for prefix, acc in prefixes.items():
             parent_cell = tuple(x if is_fixed else prefix[x] for is_fixed, x in slots)
-            row = rows.get(parent_cell)
-            if row is None:
+            key = keys.get(parent_cell)
+            if key is None:
                 if failure is None or prefix < failure[0]:
                     failure = (prefix, v, parents, parent_cell)
                 continue
-            for (s,), q in row.items():
-                if q:
-                    extended[prefix + (s,)] = acc * q
+            acc *= d_v // key[0]
+            for (s,), n in key[1:]:
+                extended[prefix + (s,)] = acc * n
         prefixes = extended
     if failure is not None:
         _, v, parents, parent_cell = failure
         cpts[v].row(parent_cell)  # a given-cell outside the table raises InvalidQuery
         raise NotIdentified(v, _as_dict(parents, parent_cell))
-    return FiniteDistribution(tuple((v, cards[v]) for v in order), prefixes)
+    variables = tuple((v, cards[v]) for v in order)
+    return FiniteDistribution(variables, {cell: (n, den) for cell, n in prefixes.items()}, _parsed=True)
 
 
 def build_ffrcistg(dag: Dag, targets, p: FiniteDistribution) -> CounterfactualFamily:

@@ -38,10 +38,12 @@ from swigcheck.errors import (
     IllFormedEci,
     IncompleteKernel,
     InvalidDocument,
+    InvalidQuery,
     NoIdleRegime,
     NotACounterexample,
     NotATarget,
     NotConvertible,
+    UnknownVertex,
 )
 from swigcheck.family import (
     build_ffrcistg,
@@ -308,6 +310,15 @@ class TestNaturalValueRegime:
         with pytest.raises(InvalidDocument, match="state index must be an integer"):
             natural_value_regime(two_stage_kernel, "X0", ["X1"], [1.0])
 
+    @pytest.mark.parametrize("C, c", [(["A"], [1]), (["B", "B"], [0, 1])])
+    def test_context_must_name_distinct_targets_other_than_i(self, chain, chain_law, C, c):
+        # the chain kernel is consistent, yet with A also in C the stitched
+        # law was compared with the member that intervenes on A
+        kernel = family_to_kernel(build_ffrcistg(chain, chain.targets, chain_law))
+        assert natural_value_regime(kernel, "A")[1].holds
+        with pytest.raises(InvalidQuery, match="C must name distinct targets"):
+            natural_value_regime(kernel, "A", C, c)
+
     @pytest.mark.parametrize("value", [0.5, True])
     def test_regime_space_rejects_non_integer_values(self, value):
         dag = Dag(["B"], [], targets=["B"])
@@ -529,6 +540,10 @@ class TestJointIndependence:
         report = derive_joint_independence(self.completion_kernel(shift=True), ["X"])
         assert not report.holds
         assert any(d.get("premise") == "failed" for d in report.details)
+
+    def test_unknown_names_in_w_are_rejected(self):
+        with pytest.raises(UnknownVertex, match="'Zzz'"):
+            derive_joint_independence(self.completion_kernel(), ["X", "Zzz"])
 
     def test_sign_locked_space_propagates_no_idle(self):
         pm = bernoulli_pair(HALF, F(3, 10))

@@ -286,6 +286,23 @@ def test_conditional_table_rejects_a_row_not_summing_to_one():
         ConditionalTable((a,), (), {(): {(0,): 0.5, (1,): 0.5}})
 
 
+def test_conditional_table_keeps_one_form():
+    a, b = ("A", 2), ("B", 2)
+    half_row = {(0,): HALF, (1,): HALF}
+    q = Fraction(1, 4)
+    built = FiniteDistribution([a, b], {(0, 0): HALF, (1, 0): q, (1, 1): q}).conditional(("B",), ("A",))
+    # an explicit zero entry is the same row as one left out
+    table = ConditionalTable((b,), (a,), {(0,): {(0,): 1, (1,): 0}, (1,): half_row})
+    assert table == built
+    # no dict handed in or out is kept: editing one changes neither form
+    table.rows[(1,)][(0,)] = Fraction(9, 10)
+    table.row((1,))[(1,)] = Fraction(9, 10)
+    half_row[(0,)] = Fraction(9, 10)
+    assert table.row((1,)) == {(0,): HALF, (1,): HALF}
+    assert table.row((0,)) == {(0,): 1}
+    assert table == built
+
+
 def reference_conditional_rows(d, target, given):
     """Rows by Fraction accumulation and division, a reference for the
     integer path; names resolve as in ``conditional`` (sets by declaration)."""

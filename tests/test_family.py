@@ -6,7 +6,14 @@ import pytest
 
 from helpers import mutate_family, random_positive_joint, two_stage_dag
 from swigcheck.dist import ConditionalTable, FiniteDistribution, product_cells
-from swigcheck.errors import IncompleteFamily, InvalidDocument, InvalidQuery, NotATarget, NotIdentified
+from swigcheck.errors import (
+    IncompleteFamily,
+    InvalidDocument,
+    InvalidQuery,
+    NotATarget,
+    NotIdentified,
+    UnknownVertex,
+)
 from swigcheck.family import (
     CounterfactualFamily,
     build_ffrcistg,
@@ -408,6 +415,64 @@ class TestGformulaSweep:
                     assert dict(gformula_member(dag, card, cpts, iv).support()) == expected, (seed, iv)
                     outcomes.add("identified")
         assert outcomes == {"identified", "not identified"}
+
+    def test_mixed_denominators_and_explicit_zeros_match_the_per_cell_loop(self):
+        # rows in thirds, halves and sixths, with zero entries written out
+        dag = Dag(["A", "B", "C"], [("A", "B"), ("A", "C"), ("B", "C")], targets=["A", "B"])
+        a, b, c = ("A", 2), ("B", 2), ("C", 2)
+        sixths = lambda n: {(0,): F(n, 6), (1,): F(6 - n, 6)}
+        cpts = {
+            "A": ConditionalTable((a,), (), {(): {(0,): F(1, 3), (1,): F(2, 3)}}),
+            "B": ConditionalTable((b,), (a,), {(0,): sixths(3), (1,): {(0,): F(1), (1,): F(0)}}),
+            "C": ConditionalTable(
+                (c,), (a, b), {(0, 0): sixths(1), (0, 1): sixths(0), (1, 0): sixths(5), (1, 1): sixths(2)}
+            ),
+        }
+        cards = {"A": 2, "B": 2, "C": 2}
+        for iv in every_intervention(dag, cards):
+            member = gformula_member(dag, cards, cpts, iv)
+            assert dict(member.support()) == per_cell_gformula(dag, cards, cpts, iv), iv
+
+    def test_edited_rows_do_not_reach_the_product(self, chain, chain_law):
+        cpts = observational_cpts(chain_law, chain)
+        before = gformula_member(chain, chain_law.cards, cpts, {"A": 1})
+        cpts["B"].rows[(1,)][(0,)] = F(9, 10)
+        cpts["B"].row((1,))[(1,)] = F(9, 10)
+        assert gformula_member(chain, chain_law.cards, cpts, {"A": 1}) == before
+
+    @pytest.mark.parametrize(
+        "intervention, error",
+        [
+            ({"A": 0.7}, InvalidDocument),
+            ({"A": True}, InvalidDocument),
+            ({"A": "1"}, InvalidDocument),
+            ({"Z": 1}, UnknownVertex),
+        ],
+    )
+    def test_intervention_states_are_not_coerced(self, intervention, error):
+        dag = Dag(["A", "B"], [("A", "B")], targets=["A"])
+        law = FiniteDistribution(
+            [("A", 2), ("B", 2)], {(0, 0): F(1, 8), (0, 1): F(3, 8), (1, 0): F(3, 8), (1, 1): F(1, 8)}
+        )
+        with pytest.raises(error):
+            gformula_member(dag, law.cards, observational_cpts(law, dag), intervention)
+
+    @pytest.mark.parametrize(
+        "b_row, message",
+        [
+            ({(0,): F(3, 2), (1,): F(-1, 2)}, "negative mass"),
+            ({(0.5,): HALF, (1,): HALF}, "state index must be an integer"),
+        ],
+    )
+    def test_members_of_hand_built_tables_are_checked(self, b_row, message):
+        dag = Dag(["A", "B"], [("A", "B")], targets=["A"])
+        a, b = ("A", 2), ("B", 2)
+        cpts = {
+            "A": ConditionalTable((a,), (), {(): {(0,): HALF, (1,): HALF}}),
+            "B": ConditionalTable((b,), (a,), {(0,): b_row, (1,): b_row}),
+        }
+        with pytest.raises(InvalidDocument, match=message):
+            gformula_member(dag, {"A": 2, "B": 2}, cpts, {})
 
     def test_first_failing_full_cell_names_the_vertex(self):
         # B is undefined after A=1 and C after (A, B) = (0, 0); the full cell
