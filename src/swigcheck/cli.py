@@ -36,6 +36,12 @@ def _emit(lines, out=None):
     print(text, file=out or sys.stdout)
 
 
+def _verdict(holds: bool, lines) -> int:
+    """Emit the verdict line, then ``lines``; the exit code follows the verdict."""
+    _emit([{"verdict": "holds" if holds else "violated"}, *lines])
+    return EXIT_OK if holds else EXIT_VIOLATED
+
+
 def _write_artifact(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
@@ -134,10 +140,7 @@ def cmd_check(args) -> int:
     if args.mode not in modes:
         raise SwigcheckError(f"mode {args.mode!r} does not apply to {'families' if args.family else 'kernels'}")
     reports = checks(spec.from_json(family.read_json_file(path), base_dir=Path(path).parent), args.mode)
-    holds = all(r.holds for r in reports)
-    lines = [{"verdict": "holds" if holds else "violated"}] + [r.to_json() for r in reports]
-    _emit(lines)
-    return EXIT_OK if holds else EXIT_VIOLATED
+    return _verdict(all(r.holds for r in reports), [r.to_json() for r in reports])
 
 
 def cmd_gformula(args) -> int:
@@ -171,53 +174,53 @@ def cmd_gformula(args) -> int:
     return EXIT_OK
 
 
+def _demo_intersection():
+    half = Fraction(1, 2)
+    pm = decision.bernoulli_pair(half, Fraction(3, 10))
+    pp = decision.bernoulli_pair(half, Fraction(7, 10))
+    _, report = decision.build_intersection_counterexample(pm, pp)
+    return report.holds, [report.to_json()]
+
+
+def _demo_frontdoor():
+    result = decision.frontdoor_demo()
+    return result["pattern_reproduced"], [
+        {"d_separation": result["d_separation"].to_json()},
+        {
+            "kernel": "sharp",
+            "solid": [r.to_json() for r in result["sharp"]["solid"]],
+            "context_specific": result["sharp"]["context_specific"].to_json(),
+        },
+        {
+            "kernel": "leaky",
+            "mix_weight": str(result["leaky"]["mix_weight"]),
+            "solid": [r.to_json() for r in result["leaky"]["solid"]],
+            "context_specific": result["leaky"]["context_specific"].to_json(),
+        },
+    ]
+
+
+def _demo_move_to_idle():
+    full = decision.check_move_to_idle(
+        [(a, b) for a in (None, 0, 1) for b in (None, 0, 1)]
+    )
+    completion = decision.check_move_to_idle(
+        [(None, None), (1, None), (2, None), (1, 1), (2, 2)]
+    )
+    pathological = decision.check_move_to_idle([(None, None), (1, 1)])
+    return full.holds and completion.holds and not pathological.holds, [
+        {"space": "full-product", **full.to_json()},
+        {"space": "treatment-completion", **completion.to_json()},
+        {"space": "sign-locked-pair", **pathological.to_json()},
+    ]
+
+
+# each demo returns its verdict and the report lines that follow it
+_DEMOS = {"intersection": _demo_intersection, "frontdoor": _demo_frontdoor, "move-to-idle": _demo_move_to_idle}
+
+
 def cmd_demo(args) -> int:
-    if args.name == "intersection":
-        half = Fraction(1, 2)
-        pm = decision.bernoulli_pair(half, Fraction(3, 10))
-        pp = decision.bernoulli_pair(half, Fraction(7, 10))
-        _, report = decision.build_intersection_counterexample(pm, pp)
-        lines = [{"verdict": "holds" if report.holds else "violated"}, report.to_json()]
-        _emit(lines)
-        return EXIT_OK if report.holds else EXIT_VIOLATED
-    if args.name == "frontdoor":
-        result = decision.frontdoor_demo()
-        ok = result["pattern_reproduced"]
-        lines = [
-            {"verdict": "holds" if ok else "violated"},
-            {"d_separation": result["d_separation"].to_json()},
-            {
-                "kernel": "sharp",
-                "solid": [r.to_json() for r in result["sharp"]["solid"]],
-                "context_specific": result["sharp"]["context_specific"].to_json(),
-            },
-            {
-                "kernel": "leaky",
-                "mix_weight": str(result["leaky"]["mix_weight"]),
-                "solid": [r.to_json() for r in result["leaky"]["solid"]],
-                "context_specific": result["leaky"]["context_specific"].to_json(),
-            },
-        ]
-        _emit(lines)
-        return EXIT_OK if ok else EXIT_VIOLATED
-    if args.name == "move-to-idle":
-        full = decision.check_move_to_idle(
-            [(a, b) for a in (None, 0, 1) for b in (None, 0, 1)]
-        )
-        completion = decision.check_move_to_idle(
-            [(None, None), (1, None), (2, None), (1, 1), (2, 2)]
-        )
-        pathological = decision.check_move_to_idle([(None, None), (1, 1)])
-        ok = full.holds and completion.holds and not pathological.holds
-        lines = [
-            {"verdict": "holds" if ok else "violated"},
-            {"space": "full-product", **full.to_json()},
-            {"space": "treatment-completion", **completion.to_json()},
-            {"space": "sign-locked-pair", **pathological.to_json()},
-        ]
-        _emit(lines)
-        return EXIT_OK if ok else EXIT_VIOLATED
-    raise SwigcheckError(f"unknown demo {args.name!r}")
+    return _verdict(*_DEMOS[args.name]())
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gformula)
 
     p = sub.add_parser("demo", help="run a bundled construction end to end")
-    p.add_argument("name", choices=("intersection", "frontdoor", "move-to-idle"))
+    p.add_argument("name", choices=tuple(_DEMOS))
     p.set_defaults(func=cmd_demo)
     return parser
 

@@ -23,7 +23,6 @@ from .dist import (
     depends_only_on,
     diagonal_mismatches,
     document_int,
-    product_cells,
     rows_equal,
 )
 from .errors import (
@@ -704,8 +703,8 @@ def derive_joint_independence(k: RegimeKernel, W: Iterable[str]) -> CheckReport:
 
     Requires the move-to-idle condition on the regime space. The premise is
     one statement per indicator (the law of W does not move when only that
-    coordinate changes); when every premise holds the joint claim is verified
-    exhaustively across the whole space.
+    coordinate changes). Under move-to-idle the premises imply the joint
+    claim, so it holds exactly when every premise does.
     """
     W = tuple(sorted(dict.fromkeys(W), key=k.dag.rank))  # rank raises UnknownVertex
     if not W:
@@ -740,14 +739,6 @@ def derive_joint_independence(k: RegimeKernel, W: Iterable[str]) -> CheckReport:
             report.notes.append("a per-coordinate premise fails; no joint claim is made")
             return report
         report.details.append({"indicator": name, "premise": "holds"})
-    reference = marg[space[0]]
-    for f in space:
-        if marg[f] != reference:
-            report.holds = False
-            report.witnesses.append(
-                {"pair": [_regime_text(space[0]), _regime_text(f)]}
-            )
-            return report
     report.details.append({"conclusion": "holds", "statement": f"{', '.join(W)} _||_ all indicators"})
     return report
 
@@ -831,40 +822,6 @@ def materialize_applied(k: RegimeKernel, target: str, itt_name: str, applied_nam
     )
 
 
-def _frontdoor_kernel(
-    h_weight: Fraction,
-    itt_rows: Mapping[int, Fraction],
-    med_rows: Mapping[int, Fraction],
-    out_rows: Mapping[tuple[int, int], Fraction],
-) -> RegimeKernel:
-    """Five-variable sharp treatment kernel written out mechanism by mechanism.
-
-    The applied treatment equals the natural value under the idle regime and
-    the intervened value otherwise; all other mechanisms are shared across
-    regimes.
-    """
-    order = ("H", "Tstar", "T", "M", "Y")
-    dag = Dag(
-        order,
-        [("H", "Tstar"), ("Tstar", "T"), ("T", "M"), ("M", "Y"), ("H", "Y")],
-        targets=("T",),
-        order=order,
-    )
-    cards = {v: 2 for v in order}
-    members = {}
-    for regime in (IDLE, 0, 1):
-        mass = {}
-        for h, tstar, m, y in product_cells([2, 2, 2, 2]):
-            t = tstar if regime is IDLE else regime
-            ph = h_weight if h == 1 else 1 - h_weight
-            pt = itt_rows[h] if tstar == 1 else 1 - itt_rows[h]
-            pm = med_rows[t] if m == 1 else 1 - med_rows[t]
-            py = out_rows[(m, h)] if y == 1 else 1 - out_rows[(m, h)]
-            mass[(h, tstar, t, m, y)] = ph * pt * pm * py
-        members[(regime,)] = FiniteDistribution(tuple((v, 2) for v in order), mass)
-    return RegimeKernel.for_targets(dag, cards, members, roles={"itt": "Tstar", "applied": "T", "indicator": "F_T"})
-
-
 def _leaky_kernel(sharp: RegimeKernel, eps: Fraction) -> RegimeKernel:
     """Intervention that misses with probability ``eps``, leaving the natural
     value applied: each member is ``(1 - eps) * sharp + eps * idle``."""
@@ -887,8 +844,9 @@ def frontdoor_demo() -> dict:
     with all edges solid. Only the sharp kernel, where the applied value is a
     deterministic function of the natural value and the regime, satisfies the
     context-specific independence of the outcome from the regime given the
-    mediator under non-idle regimes. The leaky mixing weight is found by a
-    small deterministic search and verified by enumeration.
+    mediator under non-idle regimes. The leaky mixing weight is 1/4;
+    ``pattern_reproduced`` is false if that weight stops telling the two
+    kernels apart.
     """
     h_weight = Fraction(2, 5)
     itt_rows = {0: Fraction(1, 4), 1: Fraction(3, 4)}
@@ -904,14 +862,15 @@ def frontdoor_demo() -> dict:
         [("H", "T"), ("H", "Y"), ("T", "M"), ("M", "Y")],
         targets=("T",),
     )
-    direct = _frontdoor_kernel(h_weight, itt_rows, med_rows, out_rows)
-    # under the idle regime the applied column copies the natural one
-    p4 = direct.member((IDLE,)).marginal(base.order)
+    bern = lambda q, x: q if x == 1 else 1 - q
+    mass = {
+        (h, t, m, y): bern(h_weight, h) * bern(itt_rows[h], t) * bern(med_rows[t], m) * bern(out_rows[(m, h)], y)
+        for h, t, m, y in itertools.product((0, 1), repeat=4)
+    }
+    p4 = FiniteDistribution(tuple((v, 2) for v in base.order), mass)
     sharp = materialize_applied(
         family_to_kernel(build_ffrcistg(base, base.targets, p4)), "T", "Tstar", "T"
     )
-    if any(sharp.member(f) != direct.member(f) for f in sharp.regime_space):
-        raise InvalidQuery("transported kernel disagrees with its direct construction")
     solid = solid_ecis(sharp.dag, {"F_T": ("T",)})
     context_stmt = EciStatement(("Y",), ("F_T",), ("M",), ("F_T",))
 
@@ -922,13 +881,9 @@ def frontdoor_demo() -> dict:
 
     sharp_solid, sharp_context = evaluate(sharp)
 
-    for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-        leaky = _leaky_kernel(sharp, eps)
-        leaky_solid, leaky_context = evaluate(leaky)
-        if all(r.holds for r in leaky_solid) and not leaky_context.holds:
-            break
-    else:
-        raise InvalidQuery("no leaky mechanism found in the search grid")
+    eps = Fraction(1, 4)
+    leaky = _leaky_kernel(sharp, eps)
+    leaky_solid, leaky_context = evaluate(leaky)
 
     graph = instantiate_regime(augment(base), {"T": 1})
     separation = graph.d_separated(

@@ -70,9 +70,7 @@ def _projector(positions: Sequence[int]):
 
 def parse_prob(value) -> Fraction:
     """Exact probability from ``"num/den"`` strings, decimals, or numbers."""
-    if isinstance(value, Fraction):
-        p = value
-    elif isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
         p = Fraction(value)
     elif isinstance(value, (str, float)):
         # floats are accepted but converted through their decimal rendering so
@@ -360,13 +358,18 @@ class ConditionalTable:
     __slots__ = ("target", "given", "row_keys")
 
     def __init__(self, target, given, rows, *, _keys=None):
+        object.__setattr__(self, "target", tuple(target))
+        object.__setattr__(self, "given", tuple(given))
         if _keys is None:
             _keys = {}
             for cell, row in dict(rows).items():
+                # a point mass at the given-cell must be a law over the given variables
+                FiniteDistribution(self.given, {cell: 1})
                 if row is None:
                     _keys[cell] = None
                     continue
                 try:
+                    FiniteDistribution._raw(self.target, row)  # states in range, no negative mass
                     # the lcm of reduced denominators leaves the row in lowest terms
                     den = math.lcm(*(q.denominator for q in row.values()))
                     items = sorted((t, q.numerator * (den // q.denominator)) for t, q in row.items() if q)
@@ -375,8 +378,6 @@ class ConditionalTable:
                 if sum(n for _, n in items) != den:
                     raise InvalidDocument(f"conditional row at {cell} does not sum to 1")
                 _keys[cell] = (den, *items)
-        object.__setattr__(self, "target", tuple(target))
-        object.__setattr__(self, "given", tuple(given))
         object.__setattr__(self, "row_keys", _keys)
 
     def __setattr__(self, name, value):
@@ -507,6 +508,4 @@ def jsonable(value):
         return {str(k) if not isinstance(k, str) else k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(jsonable(v) for v in value)
     return value

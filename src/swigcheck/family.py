@@ -616,9 +616,8 @@ def build_ffrcistg(dag: Dag, targets, p: FiniteDistribution) -> CounterfactualFa
     the graph the construction still runs; the failure is attached to the
     returned family as ``observed_markov``.
     """
-    targets = tuple(targets) if targets is not None else dag.targets
-    if set(targets) != set(dag.targets):
-        dag = Dag(dag.vertices, sorted(dag.edges), targets, dag.order)
+    if targets is not None and set(targets) != set(dag.targets):
+        raise InvalidQuery(f"targets must be None or the graph's targets {list(dag.targets)}")
     if set(p.names) != set(dag.vertices):
         raise InvalidQuery("law is not over the graph vertices")
     p = p.reorder(dag.order)

@@ -89,9 +89,6 @@ class Dag:
             and self.order == other.order
         )
 
-    def __hash__(self):
-        return hash((self.vertices, self.edges, self.targets, self.order))
-
     def __repr__(self):
         return f"Dag(vertices={list(self.vertices)}, edges={sorted(self.edges)}, targets={list(self.targets)})"
 

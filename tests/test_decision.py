@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -12,6 +14,7 @@ from helpers import (
     two_stage_dag,
 )
 from swigcheck.decision import (
+    IDLE,
     EciStatement,
     RegimeKernel,
     augment,
@@ -32,8 +35,9 @@ from swigcheck.decision import (
     natural_value_regime,
     solid_ecis,
     validate_eci,
+    _leaky_kernel,
 )
-from swigcheck.dist import FiniteDistribution
+from swigcheck.dist import FiniteDistribution, product_cells
 from swigcheck.errors import (
     IllFormedEci,
     IncompleteKernel,
@@ -552,8 +556,109 @@ class TestJointIndependence:
         with pytest.raises(NoIdleRegime):
             derive_joint_independence(kernel, ["Y"])
 
+    def test_space_without_move_to_idle_makes_no_claim(self):
+        dag = Dag(["X"], [], targets=[])
+        x = FiniteDistribution([("X", 2)], {(0,): F(1, 3), (1,): F(2, 3)})
+        space = [(None, None), (1, 1)]
+        kernel = RegimeKernel(dag, {"X": 2}, ("F1", "F2"), (None, None), space, {f: x for f in space})
+        report = derive_joint_independence(kernel, ["X"])
+        assert not report.holds
+        assert report.notes == ["move-to-idle precondition fails"]
+        assert report.details == [{"precondition": "failed", "witnesses": [{"blocking": [1, 1]}]}]
+
+    def test_premises_decide_the_joint_claim(self):
+        # under move-to-idle, W is independent of every indicator exactly
+        # when every member's W-marginal equals the idle member's; the
+        # oracle reads marginals only, never the per-coordinate premises
+        rng = random.Random(2626)
+        verdicts = []
+        for trial in range(12):
+            dag = random_dag(rng, max_vertices=4)
+            fam = build_ffrcistg(dag, dag.targets, random_positive_joint(rng, dag))
+            if trial % 2:
+                fam, _ = mutate_family(rng, fam)
+            full = family_to_kernel(fam)
+            kernels = [full]
+            # random regimes and every regime that idles some of their coordinates
+            space = {full.idle_regime()}
+            for f in full.regime_space:
+                if rng.random() < 0.3:
+                    space.update(itertools.product(*((v, IDLE) for v in f)))
+            members = {f: full.member(f) for f in space}
+            kernels.append(RegimeKernel.for_targets(dag, full.cards, members, list(space)))
+            for kernel in kernels:
+                assert check_move_to_idle(kernel.regime_space).holds
+                idle = kernel.member(kernel.idle_regime())
+                for r in range(1, len(dag.vertices) + 1):
+                    for W in itertools.combinations(dag.order, r):
+                        expected = all(kernel.member(f).marginal(W) == idle.marginal(W) for f in kernel.regime_space)
+                        assert derive_joint_independence(kernel, W).holds == expected, (trial, W)
+                        verdicts.append(expected)
+        assert set(verdicts) == {True, False}
+
+
+def _frontdoor_kernel(
+    h_weight: Fraction,
+    itt_rows: Mapping[int, Fraction],
+    med_rows: Mapping[int, Fraction],
+    out_rows: Mapping[tuple[int, int], Fraction],
+) -> RegimeKernel:
+    """Five-variable sharp treatment kernel written out mechanism by mechanism.
+
+    The applied treatment equals the natural value under the idle regime and
+    the intervened value otherwise; all other mechanisms are shared across
+    regimes.
+    """
+    order = ("H", "Tstar", "T", "M", "Y")
+    dag = Dag(
+        order,
+        [("H", "Tstar"), ("Tstar", "T"), ("T", "M"), ("M", "Y"), ("H", "Y")],
+        targets=("T",),
+        order=order,
+    )
+    cards = {v: 2 for v in order}
+    members = {}
+    for regime in (IDLE, 0, 1):
+        mass = {}
+        for h, tstar, m, y in product_cells([2, 2, 2, 2]):
+            t = tstar if regime is IDLE else regime
+            ph = h_weight if h == 1 else 1 - h_weight
+            pt = itt_rows[h] if tstar == 1 else 1 - itt_rows[h]
+            pm = med_rows[t] if m == 1 else 1 - med_rows[t]
+            py = out_rows[(m, h)] if y == 1 else 1 - out_rows[(m, h)]
+            mass[(h, tstar, t, m, y)] = ph * pt * pm * py
+        members[(regime,)] = FiniteDistribution(tuple((v, 2) for v in order), mass)
+    return RegimeKernel.for_targets(dag, cards, members, roles={"itt": "Tstar", "applied": "T", "indicator": "F_T"})
+
 
 class TestFrontdoorDemo:
+    def test_transported_kernel_equals_the_direct_construction(self):
+        # the demo's constants, written out mechanism by mechanism
+        direct = _frontdoor_kernel(
+            F(2, 5),
+            {0: F(1, 4), 1: F(3, 4)},
+            {0: F(1, 5), 1: F(4, 5)},
+            {(0, 0): F(1, 6), (0, 1): F(1, 2), (1, 0): F(1, 3), (1, 1): F(5, 6)},
+        )
+        sharp = frontdoor_demo()["sharp"]["kernel"]
+        assert sharp.dag == direct.dag and sharp.roles == direct.roles
+        assert sharp.regime_space == direct.regime_space
+        assert all(sharp.member(f) == direct.member(f) for f in sharp.regime_space)
+
+    def test_one_quarter_is_the_first_leaky_weight_found(self):
+        result = frontdoor_demo()
+        sharp = result["sharp"]["kernel"]
+        solid = solid_ecis(sharp.dag, {"F_T": ("T",)})
+        context = EciStatement(("Y",), ("F_T",), ("M",), ("F_T",))
+        for eps in (F(1, 4), F(1, 3), F(1, 2)):
+            leaky = _leaky_kernel(sharp, eps)
+            if all(check_eci(leaky, s).holds for s in solid) and not check_eci(leaky, context).holds:
+                break
+        else:
+            pytest.fail("no leaky mechanism found in the search grid")
+        assert eps == result["leaky"]["mix_weight"] == F(1, 4)
+        assert all(leaky.member(f) == result["leaky"]["kernel"].member(f) for f in leaky.regime_space)
+
     def test_pattern_reproduced(self):
         result = frontdoor_demo()
         assert result["pattern_reproduced"]

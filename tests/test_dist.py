@@ -286,6 +286,23 @@ def test_conditional_table_rejects_a_row_not_summing_to_one():
         ConditionalTable((a,), (), {(): {(0,): 0.5, (1,): 0.5}})
 
 
+@pytest.mark.parametrize(
+    "given, rows, message",
+    [
+        ((), {(): {(0,): Fraction(3, 2), (1,): Fraction(-1, 2)}}, "negative mass"),
+        ((), {(): {(5,): 1}}, r"cell \(5,\) outside declared cardinalities"),
+        ((), {(): {(True,): 1}}, "state index must be an integer, got True"),
+        ((), {(): {(0, 1): 1}}, "wrong arity"),
+        ((("B", 2),), {(7,): {(0,): 1}}, r"cell \(7,\) outside declared cardinalities"),
+        ((("B", 2),), {(True,): {(0,): 1}}, "state index must be an integer, got True"),
+        ((("B", 2),), {(0,): None, (0, 1): None}, "wrong arity"),
+    ],
+)
+def test_conditional_table_rejects_rows_that_are_not_conditionals(given, rows, message):
+    with pytest.raises(InvalidDocument, match=message):
+        ConditionalTable((("A", 2),), given, rows)
+
+
 def test_conditional_table_keeps_one_form():
     a, b = ("A", 2), ("B", 2)
     half_row = {(0,): HALF, (1,): HALF}

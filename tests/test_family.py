@@ -460,8 +460,10 @@ class TestGformulaSweep:
     @pytest.mark.parametrize(
         "b_row, message",
         [
-            ({(0,): F(3, 2), (1,): F(-1, 2)}, "negative mass"),
-            ({(0.5,): HALF, (1,): HALF}, "state index must be an integer"),
+            # row keys as FiniteDistribution.conditional builds them; the
+            # public constructor would reject these rows itself
+            ((2, ((0,), 3), ((1,), -1)), "negative mass"),
+            ((2, ((0.5,), 1), ((1,), 1)), "state index must be an integer"),
         ],
     )
     def test_members_of_hand_built_tables_are_checked(self, b_row, message):
@@ -469,7 +471,7 @@ class TestGformulaSweep:
         a, b = ("A", 2), ("B", 2)
         cpts = {
             "A": ConditionalTable((a,), (), {(): {(0,): HALF, (1,): HALF}}),
-            "B": ConditionalTable((b,), (a,), {(0,): b_row, (1,): b_row}),
+            "B": ConditionalTable((b,), (a,), None, _keys={(0,): b_row, (1,): b_row}),
         }
         with pytest.raises(InvalidDocument, match=message):
             gformula_member(dag, {"A": 2, "B": 2}, cpts, {})
